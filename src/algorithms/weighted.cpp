@@ -1,10 +1,11 @@
 #include "algorithms/weighted.hpp"
 
 #include <algorithm>
+#include <limits>
 #include <numeric>
 
-#include "model/affectance.hpp"
 #include "model/sinr.hpp"
+#include "util/contracts.hpp"
 #include "util/error.hpp"
 #include "util/fp.hpp"
 
@@ -35,90 +36,37 @@ double total_weight(const LinkSet& set, const std::vector<double>& weights) {
 WeightedCapacityResult weighted_greedy_capacity(
     const Network& net, double beta, const std::vector<double>& weights,
     const GreedyOptions& options) {
-  require(beta > 0.0, "weighted_greedy_capacity: beta must be positive");
-  require(options.tau > 0.0 && options.tau <= 1.0,
-          "weighted_greedy_capacity: tau must be in (0, 1]");
-  validate_weights(net, weights);
-
-  std::vector<LinkId> order(net.size());
-  std::iota(order.begin(), order.end(), LinkId{0});
-  std::stable_sort(order.begin(), order.end(), [&](LinkId a, LinkId b) {
-    if (weights[a] != weights[b]) return weights[a] > weights[b];
-    if (net.has_geometry()) {
-      return net.link(a).length() < net.link(b).length();
-    }
-    return a < b;
-  });
-
-  WeightedCapacityResult result;
-  result.algorithm = "weighted-greedy";
-  std::vector<double> in(net.size(), 0.0);
-  for (LinkId i : order) {
-    if (util::fp::exact_zero(weights[i])) continue;  // worthless links
-    if (net.signal(i) / beta <= net.noise()) continue;
-    double on_i = 0.0;
-    bool ok = true;
-    for (LinkId j : result.selected) {
-      on_i += model::affectance_raw(net, j, i, units::Threshold(beta));
-      if (on_i > options.tau ||
-          in[j] + model::affectance_raw(net, i, j, units::Threshold(beta)) > options.tau) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) continue;
-    for (LinkId j : result.selected) {
-      in[j] += model::affectance_raw(net, i, j, units::Threshold(beta));
-    }
-    in[i] = on_i;
-    result.selected.push_back(i);
-  }
-  std::sort(result.selected.begin(), result.selected.end());
-  result.value = total_weight(result.selected, weights);
-  return result;
+  return WeightedGreedyOracle(net, beta).compute(weights, options);
 }
 
 WeightedGreedyOracle::WeightedGreedyOracle(const Network& net, double beta)
-    : n_(net.size()), beta_(beta), has_geometry_(net.has_geometry()) {
+    : net_(net) {
   require(beta > 0.0, "WeightedGreedyOracle: beta must be positive");
-  a_.resize(n_ * n_);
-  skip_.resize(n_);
-  if (has_geometry_) length_.resize(n_);
-  const units::Threshold beta_t(beta);
-  for (LinkId j = 0; j < n_; ++j) {
-    double* row = a_.data() + j * n_;
-    // Calling the real function per pair (rather than inlining its
-    // expression) is what makes the cache bit-identical by construction.
-    for (LinkId i = 0; i < n_; ++i) {
-      row[i] = model::affectance_raw(net, j, i, beta_t);
-    }
-  }
-  for (LinkId i = 0; i < n_; ++i) {
-    skip_[i] = net.signal(i) / beta_ <= net.noise() ? 1 : 0;
-    if (has_geometry_) length_[i] = net.link(i).length();
-  }
-  // Cache-blocked transpose: at_ row j is the affectance *onto* link j from
-  // every sender, so compute() can copy an accepted link's incoming column
-  // with one sequential sweep instead of a strided gather.
-  at_.resize(n_ * n_);
-  constexpr std::size_t kBlock = 64;
-  for (std::size_t jb = 0; jb < n_; jb += kBlock) {
-    const std::size_t jend = std::min(jb + kBlock, n_);
-    for (std::size_t ib = 0; ib < n_; ib += kBlock) {
-      const std::size_t iend = std::min(ib + kBlock, n_);
-      for (std::size_t j = jb; j < jend; ++j) {
-        for (std::size_t i = ib; i < iend; ++i) {
-          at_[j * n_ + i] = a_[i * n_ + j];
-        }
-      }
-    }
+  const std::size_t n = net.size();
+  budget_.resize(n);
+  skip_.resize(n);
+  if (net.has_geometry()) length_.resize(n);
+  for (LinkId i = 0; i < n; ++i) {
+    // The exact expression inside model::affectance_raw, so every ratio
+    // gain / budget below is that function's value bit for bit.
+    const double budget = net.signal(i) / beta - net.noise();
+    // A link infeasible even alone is never admitted; its +inf budget makes
+    // the (never read) affectance onto it an exact 0 instead of inf or NaN.
+    skip_[i] = budget <= 0.0 ? 1 : 0;
+    budget_[i] =
+        skip_[i] != 0 ? std::numeric_limits<double>::infinity() : budget;
+    RAYSCHED_ENSURE(budget_[i] > 0.0, "oracle budgets must be positive");
+    if (net.has_geometry()) length_[i] = net.link(i).length();
   }
 }
 
 double WeightedGreedyOracle::affectance(LinkId sender, LinkId receiver) const {
-  require(sender < n_ && receiver < n_,
+  require(sender < size() && receiver < size(),
           "WeightedGreedyOracle::affectance: id out of range");
-  return a_[sender * n_ + receiver];
+  if (sender == receiver) return 0.0;
+  if (skip_[receiver] != 0) return std::numeric_limits<double>::infinity();
+  RAYSCHED_EXPECT(budget_[receiver] > 0.0, "oracle budgets must be positive");
+  return net_.mean_gain(sender, receiver) / budget_[receiver];
 }
 
 // raysched:hot
@@ -127,82 +75,62 @@ void WeightedGreedyOracle::compute(const std::vector<double>& weights,
                                    const GreedyOptions& options) {
   require(options.tau > 0.0 && options.tau <= 1.0,
           "WeightedGreedyOracle: tau must be in (0, 1]");
-  require(weights.size() == n_,
+  const std::size_t n = size();
+  require(weights.size() == n,
           "WeightedGreedyOracle: weights size must equal network size");
   for (double w : weights) {
     require(w >= 0.0, "WeightedGreedyOracle: weights must be >= 0");
   }
 
-  // Zero-weight links are skipped by the admission loop whatever their
-  // rank, so sorting only the nonzero-weight candidates gives the same
-  // candidate sequence (stable_sort keeps ties in ascending-id order, the
-  // order they are collected in) at O(m log m) for m backlogged links.
+  // Zero-weight links are worthless and never admitted, so only the
+  // nonzero-weight candidates are ordered: by decreasing weight, ties by
+  // increasing length (geometry), then by id. The id key makes the order
+  // total, so std::sort yields exactly the permutation a stable sort of the
+  // ascending-id list would, without stable_sort's temporary buffer (one
+  // allocation per call). O(m log m) for m backlogged links.
   order_scratch_.clear();
-  for (LinkId i = 0; i < n_; ++i) {
+  for (LinkId i = 0; i < n; ++i) {
     if (!util::fp::exact_zero(weights[i])) order_scratch_.push_back(i);
   }
-  std::stable_sort(order_scratch_.begin(), order_scratch_.end(),
-                   [&](LinkId a, LinkId b) {
-                     if (weights[a] != weights[b]) {
-                       return weights[a] > weights[b];
-                     }
-                     if (has_geometry_) return length_[a] < length_[b];
-                     return a < b;
-                   });
+  const bool by_length = !length_.empty();
+  std::sort(order_scratch_.begin(), order_scratch_.end(),
+            [&](LinkId a, LinkId b) {
+              if (weights[a] != weights[b]) return weights[a] > weights[b];
+              if (by_length && length_[a] != length_[b]) {
+                return length_[a] < length_[b];
+              }
+              return a < b;
+            });
 
+  // Affectance of sender j onto receiver k is gain_row(j)[k] / budget_[k]
+  // (model::affectance_raw). in_scratch_[k] is the affectance onto selected
+  // link k from the rest of the selection; on_scratch_[k] the affectance
+  // onto candidate k from every selected sender, summed in selection order.
+  // Checking on's full sum instead of each prefix is decision-identical
+  // because the terms are non-negative (prefix sums are monotone).
+  RAYSCHED_EXPECT(std::all_of(budget_.begin(), budget_.end(),
+                              [](double b) { return b > 0.0; }),
+                  "oracle budgets must be positive");
   selected.clear();
-  in_scratch_.assign(n_, 0.0);
-  // on_scratch_[i] carries the running sum of affectance from every selected
-  // sender onto receiver i, accumulated in selection order — the exact value
-  // the free function's per-candidate on_i loop would reach. Checking the
-  // full sum instead of each prefix is decision-identical because the terms
-  // are non-negative (prefix sums are monotone), so the selected set and
-  // every stored in/on value stay bit-for-bit equal to the free function
-  // while each candidate costs O(|selected|) instead of O(|selected|) cache
-  // misses across two matrix rows.
-  on_scratch_.assign(n_, 0.0);
-  // cols_scratch_ row k is a verbatim copy of accepted link selected[k]'s
-  // incoming-affectance column (at_ row), so the per-candidate admission
-  // check reads a compact |selected| x n buffer that stays cache-resident
-  // instead of touching |selected| scattered lines of the n x n matrix.
-  // Copied bits are the same doubles, in the same selection order, so the
-  // decisions and stored sums stay bit-identical to the free function.
+  in_scratch_.assign(n, 0.0);
+  on_scratch_.assign(n, 0.0);
   for (LinkId i : order_scratch_) {
-    if (util::fp::exact_zero(weights[i])) continue;  // worthless links
     if (skip_[i] != 0) continue;
     if (on_scratch_[i] > options.tau) continue;
-    // Row stride n_+8: keeps successive rows off the same cache sets (a
-    // power-of-two stride would alias every row's element i to one set).
-    const std::size_t stride = n_ + 8;
-    const std::size_t ns = selected.size();
+    const double* row = net_.gain_row(i).data();
     bool ok = true;
-    for (std::size_t k = 0; k < ns; ++k) {
-      if (in_scratch_[selected[k]] + cols_scratch_[k * stride + i] >
-          options.tau) {
+    for (LinkId s : selected) {
+      if (in_scratch_[s] + row[s] / budget_[s] > options.tau) {
         ok = false;
         break;
       }
     }
     if (!ok) continue;
-    for (std::size_t k = 0; k < ns; ++k) {
-      in_scratch_[selected[k]] += cols_scratch_[k * stride + i];
-    }
+    for (LinkId s : selected) in_scratch_[s] += row[s] / budget_[s];
     in_scratch_[i] = on_scratch_[i];
     selected.push_back(i);
-    if (cols_scratch_.size() < (ns + 1) * stride) {
-      cols_scratch_.resize((ns + 1) * stride);
-    }
-    // One fused pass per accept: copy i's incoming column (at_ row) into the
-    // compact check buffer and stream i's outgoing row into the accumulator.
-    // The self-term lands on on_scratch_[i], which no later candidate reads
-    // (i is never re-examined).
-    double* cols = cols_scratch_.data() + ns * stride;
-    const double* col = at_.data() + i * n_;
-    const double* row = a_.data() + i * n_;
-    for (LinkId k = 0; k < n_; ++k) {
-      cols[k] = col[k];
-      on_scratch_[k] += row[k];
-    }
+    // The self-term lands on on_scratch_[i], which is never read again.
+    for (LinkId k = 0; k < n; ++k) on_scratch_[k] += row[k] / budget_[k];
   }
   std::sort(selected.begin(), selected.end());
 }
@@ -210,7 +138,7 @@ void WeightedGreedyOracle::compute(const std::vector<double>& weights,
 WeightedCapacityResult WeightedGreedyOracle::compute(
     const std::vector<double>& weights, const GreedyOptions& options) {
   WeightedCapacityResult result;
-  result.algorithm = "weighted-greedy-cached";
+  result.algorithm = "weighted-greedy";
   compute(weights, result.selected, options);
   result.value = total_weight(result.selected, weights);
   return result;

@@ -24,54 +24,58 @@ struct WeightedCapacityResult {
 
 /// Weight-aware greedy: candidates ordered by decreasing weight (ties by
 /// increasing length), admitted under the same uncapped-affectance budget as
-/// greedy_capacity, so the output is SINR-feasible at beta.
+/// greedy_capacity, so the output is SINR-feasible at beta. One-shot form of
+/// WeightedGreedyOracle::compute.
 [[nodiscard]] WeightedCapacityResult weighted_greedy_capacity(
     const model::Network& net, double beta, const std::vector<double>& weights,
     const GreedyOptions& options = {});
 
-/// Repeated-call form of weighted_greedy_capacity bound to one
-/// (network, beta) pair: the constructor evaluates model::affectance_raw for
-/// every ordered pair once (O(n^2), the dominant per-call cost of the free
-/// function) and compute() replays the exact admission loop over the cached
-/// values. Because affectance_raw is a pure function of (network, j, i,
-/// beta), every comparison and accumulation sees the same doubles, so the
-/// selected set and total weight are bit-identical to the free function's —
-/// pinned by test_schedule_policy. The oracle copies what it needs and holds
-/// no reference to the network. compute()'s out-buffer form allocates
-/// nothing after warm-up (scratch members), which is what lets the serving
-/// loop's incremental policy call it every recompute.
+/// The weighted greedy bound to one (network, beta) pair, for callers that
+/// recompute with new weights. Affectance is never cached: the oracle keeps
+/// each link's budget S(i,i)/beta - nu (the expression inside
+/// model::affectance_raw) and reads affectance j -> i as
+/// net.gain_row(j)[i] / budget_i when it needs it, so every comparison sees
+/// the doubles affectance_raw would return (pinned by
+/// test_schedule_policy against a per-pair affectance_raw reference loop).
+///
+/// The oracle borrows the network: it must not outlive it, and the
+/// network's powers must not change while the oracle is in use. Memory is
+/// O(n) (budgets, skip flags, lengths, compute() scratch) on top of the
+/// network's own gain matrix. compute()'s out-buffer form allocates nothing
+/// after warm-up, which is what lets the serving loop's max-weight policies
+/// call it every recompute.
 class WeightedGreedyOracle {
  public:
-  /// O(n^2) time and memory. Throws raysched::error unless beta > 0.
+  /// O(n) time and memory. Throws raysched::error unless beta > 0.
   WeightedGreedyOracle(const model::Network& net, double beta);
+  /// A temporary network would die before the oracle reads it.
+  WeightedGreedyOracle(model::Network&& net, double beta) = delete;
 
-  [[nodiscard]] std::size_t size() const { return n_; }
-  [[nodiscard]] double beta() const { return beta_; }
+  [[nodiscard]] std::size_t size() const { return net_.size(); }
 
-  /// The cached model::affectance_raw(net, sender, receiver, beta).
+  /// The affectance compute() reads: bit-identical to
+  /// model::affectance_raw(net, sender, receiver, beta).
   [[nodiscard]] double affectance(model::LinkId sender,
                                   model::LinkId receiver) const;
 
-  /// Replays weighted_greedy_capacity over the cached matrix; `selected` is
-  /// overwritten with the chosen set in ascending id order.
+  /// Candidates in decreasing weight order (ties by increasing length, or
+  /// id without geometry) are admitted while the uncapped-affectance budget
+  /// tau holds for every selected link; `selected` is overwritten with the
+  /// chosen set in ascending id order.
   void compute(const std::vector<double>& weights, model::LinkSet& selected,
                const GreedyOptions& options = {});
   [[nodiscard]] WeightedCapacityResult compute(
       const std::vector<double>& weights, const GreedyOptions& options = {});
 
  private:
-  std::size_t n_ = 0;
-  double beta_ = 0.0;
-  bool has_geometry_ = false;
-  std::vector<double> a_;       // a_[j*n + i] = affectance_raw(j -> i)
-  std::vector<double> at_;      // transpose: at_[j*n + i] = a_[i*n + j]
+  const model::Network& net_;
+  std::vector<double> budget_;  // S(i,i)/beta - nu; +inf where skip_
+  std::vector<char> skip_;      // 1 when link i is infeasible even alone
   std::vector<double> length_;  // link lengths (geometry networks only)
-  std::vector<char> skip_;      // 1 when signal(i)/beta <= noise
   // compute() scratch, reused across calls (zero-alloc after warm-up).
   std::vector<model::LinkId> order_scratch_;
   std::vector<double> in_scratch_;
   std::vector<double> on_scratch_;
-  std::vector<double> cols_scratch_;
 };
 
 /// Exact maximum-weight feasible set by branch and bound (remaining-weight

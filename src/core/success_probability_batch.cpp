@@ -404,83 +404,6 @@ void SuccessProbabilityKernel::update_link(LinkId sender,
   refresh_values();
 }
 
-// raysched:hot
-void SuccessProbabilityKernel::update_links(
-    const std::vector<std::pair<LinkId, units::Probability>>& updates) {
-  require(has_state_,
-          "SuccessProbabilityKernel::update_links: call set_probabilities "
-          "first");
-  if (updates.empty()) return;
-  for (const auto& [sender, value] : updates) {
-    require(sender < n_,
-            "SuccessProbabilityKernel::update_links: id out of range");
-    require(value.value() >= 0.0 && value.value() <= 1.0,
-            "SuccessProbabilityKernel::update_links: probability must be in "
-            "[0,1]");
-    const bool was_nz = !util::fp::exact_zero(q_[sender].value());
-    const bool now_nz = !util::fp::exact_zero(value.value());
-    nz_count_ +=
-        static_cast<std::size_t>(now_nz) - static_cast<std::size_t>(was_nz);
-    q_[sender] = value;
-  }
-  if (sparse_eligible()) {
-    sparse_refresh_values();
-    tree_dirty_ = true;
-    return;
-  }
-  if (tree_dirty_) {
-    rebuild_tree();
-    return;
-  }
-  // Rebuild each touched leaf row once, from the final q (duplicate senders
-  // collapse to their last value, exactly as sequential update_link would).
-  touched_scratch_.clear();
-  for (const auto& [sender, value] : updates) {
-    const double qj = q_[sender].value();
-    const std::size_t node = leaves_ + sender;
-    if (util::fp::exact_zero(qj)) {
-      rep_[node] = 0;
-    } else {
-      double* leaf = tree_.data() + node * n_;
-      const double* row = c_.data() + sender * n_;
-      for (LinkId i = 0; i < n_; ++i) {
-        leaf[i] = 1.0 - row[i] * qj;
-      }
-      rep_[node] = node;
-    }
-    touched_scratch_.push_back(node / 2);
-  }
-  // Walk the union of ancestor paths one level at a time. Within a level the
-  // rows are disjoint, and every row is rebuilt strictly after both of its
-  // children reached their final state — so each row's final content matches
-  // the sequential update_link order bit for bit.
-  std::sort(touched_scratch_.begin(), touched_scratch_.end());
-  touched_scratch_.erase(
-      std::unique(touched_scratch_.begin(), touched_scratch_.end()),
-      touched_scratch_.end());
-  // front() == 0 only when leaves_ == 1 (node 1 is both root and leaf), in
-  // which case there are no interior rows to rebuild — same as the empty
-  // path loop in update_link.
-  while (touched_scratch_.front() >= 1) {
-    for (const std::size_t node : touched_scratch_) {
-      refresh_interior(node);
-    }
-    if (touched_scratch_.front() == 1) break;  // rebuilt the root row
-    for (std::size_t& node : touched_scratch_) node /= 2;
-    touched_scratch_.erase(
-        std::unique(touched_scratch_.begin(), touched_scratch_.end()),
-        touched_scratch_.end());
-  }
-  refresh_values();
-}
-
-void SuccessProbabilityKernel::remove_link(LinkId id) {
-  require(has_state_,
-          "SuccessProbabilityKernel::remove_link: call set_probabilities "
-          "first");
-  update_link(id, units::Probability(0.0));
-}
-
 void SuccessProbabilityKernel::reset() {
   has_state_ = false;
   q_.clear();
@@ -594,6 +517,10 @@ double batch_expected_successes_active(const Network& net,
                                        const LinkSet& active,
                                        units::Threshold beta,
                                        const BatchExecutor& executor) {
+  // Serial: the scalar aggregate adds each value as it is produced — the
+  // same values in the same set order, with no buffer — so pricing a
+  // schedule on the serving path allocates nothing.
+  if (!executor) return model::expected_successes_rayleigh(net, active, beta);
   const std::vector<double> values =
       batch_success_probabilities_active(net, active, beta, executor);
   double total = 0.0;

@@ -119,27 +119,6 @@ class SuccessProbabilityKernel {
   /// set_probabilities to have been called.
   void update_link(model::LinkId sender, units::Probability value);
 
-  /// One batched incremental change: applies every (sender, value) pair
-  /// (later entries win on duplicate senders), rebuilds each touched leaf
-  /// row once, then walks the union of ancestor paths level by level so a
-  /// tree row shared by several senders is rebuilt once per level instead
-  /// of once per sender. Bit-for-bit equal to applying the same updates
-  /// through update_link one at a time: refresh_interior recomputes a row
-  /// purely from its children, so only the final refresh of a row is
-  /// observable. Cost O((k + log n) * n) worst case for k updates instead
-  /// of O(k * n log n), and less when q is sparse (identity subtrees are
-  /// never materialized). Requires set_probabilities to have been called.
-  void update_links(
-      const std::vector<std::pair<model::LinkId, units::Probability>>&
-          updates);
-
-  /// Link departure: equivalent to update_link(id, 0) — the departed link
-  /// stops transmitting (its value drops to exact 0) and stops interfering
-  /// with every other link (its factor becomes an exact 1.0). The kernel
-  /// keeps the link's affectance row so a later rejoin is just another
-  /// update_link. Requires set_probabilities to have been called.
-  void remove_link(model::LinkId id);
-
   /// Leaves incremental mode: discards q and the cached values but keeps
   /// the affectance matrix and the (already-sized) product forest, so the
   /// next set_probabilities pays no allocation. One-shot evaluation is
@@ -194,7 +173,7 @@ class SuccessProbabilityKernel {
   // tree_[k*n_] was multiplied out. Because 1.0 * x == x exactly in IEEE
   // arithmetic, skipping identity factors and aliasing through single
   // contributors yields the same bits as materializing every row, while a
-  // sparse q (the serving loop's schedule indicator) touches O(#nonzero)
+  // sparse q (coordinate ascent's restart from q = 0) touches O(#nonzero)
   // rows instead of O(n).
   std::vector<double> tree_;
   std::vector<std::size_t> rep_;
@@ -202,7 +181,7 @@ class SuccessProbabilityKernel {
   units::ProbabilityVector q_;
   bool has_state_ = false;
   // Number of links with a nonzero q. When it is small (sparse_eligible),
-  // the update paths skip interior maintenance entirely and recompute the
+  // the update path skips interior maintenance entirely and recompute the
   // cached values by folding the nonzero leaves in the exact tree
   // association via a log-depth scratch stack (combine_sparse) — the same
   // multiplication tree, so the same bits, at O(#nonzero * n) per refresh
@@ -212,10 +191,6 @@ class SuccessProbabilityKernel {
   std::size_t nz_count_ = 0;
   bool tree_dirty_ = true;
   BatchExecutor exec_;
-  // Scratch for update_links' level-by-level ancestor walk (sorted unique
-  // node ids of the current tree level); reused across calls so the batched
-  // path allocates nothing after warm-up.
-  std::vector<std::size_t> touched_scratch_;
   // combine_sparse scratch: the ascending ids of nonzero-q links, and a
   // stack pool of ceil(log2(leaves_))+1 rows (one live row per recursion
   // level). Reused across refreshes — zero-alloc after warm-up.
@@ -247,7 +222,8 @@ class SuccessProbabilityKernel {
     units::Threshold beta, const BatchExecutor& executor = {});
 
 /// Fused batch form of model::expected_successes_rayleigh: the values above
-/// summed in set order. Bit-identical to the scalar aggregate.
+/// summed in set order. Bit-identical to the scalar aggregate. With no
+/// executor it sums in place and allocates nothing.
 [[nodiscard]] double batch_expected_successes_active(
     const model::Network& net, const model::LinkSet& active,
     units::Threshold beta, const BatchExecutor& executor = {});

@@ -13,6 +13,7 @@
 #pragma once
 
 #include <cstddef>
+#include <span>
 #include <vector>
 
 #include "model/link.hpp"
@@ -67,6 +68,14 @@ class Network {
   /// Mean received strength at receiver i from sender j (S̄(j,i)).
   [[nodiscard]] double mean_gain(LinkId j, LinkId i) const {
     return gains_[j * n_ + i];
+  }
+
+  /// Row j of the mean-gain matrix: gain_row(j)[i] == mean_gain(j, i), so
+  /// row-wise readers stream one contiguous span instead of n lookups. The
+  /// span aliases the network and sees later set_powers rescales.
+  [[nodiscard]] std::span<const double> gain_row(LinkId j) const {
+    require(j < n_, "Network::gain_row: id out of range");
+    return {gains_.data() + j * n_, n_};
   }
 
   /// Mean strength of link i's own signal (S̄(i,i)).

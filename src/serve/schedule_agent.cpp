@@ -1,6 +1,5 @@
 #include "serve/schedule_agent.hpp"
 
-#include <chrono>
 #include <cmath>
 #include <utility>
 
@@ -46,9 +45,6 @@ void ScheduleAgent::submit(std::uint64_t slot, ScheduleRequest request,
   // object is the one sanctioned exception: it is task-confined by the
   // one-in-flight protocol (reap() joins the pool before any other access).
   pool_.submit([this, request_copy = request_] {
-    // RS-D2 whitelisted timing site: wall_seconds is reporting-only and
-    // never steers control flow (adoption timing is slot-counted).
-    const auto t0 = std::chrono::steady_clock::now();
     // Validation boundary: poisoned gain-derived inputs must be caught
     // here, before they can steer any policy's comparisons.
     for (double w : request_copy.weights) {
@@ -60,9 +56,6 @@ void ScheduleAgent::submit(std::uint64_t slot, ScheduleRequest request,
     done.schedule = std::move(computed.schedule);
     done.expected_rate = computed.expected_rate;
     done.ok = true;
-    done.wall_seconds =
-        std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
-            .count();
     util::MutexLock lock(mutex_);
     outcome_ = std::move(done);
   });

@@ -20,8 +20,7 @@
 //   * If latency_slots exceeds the service's deadline, the loop declares a
 //     timeout at submit + deadline without reaping, keeps serving from the
 //     stale schedule, and discards the overdue result when it finally
-//     lands. The wall-clock duration of the computation is recorded for
-//     reporting but never steers control flow.
+//     lands. The agent never reads a clock.
 //
 //   * Input validation is the agent's contract boundary: non-finite or
 //     negative weights (the poisoned-gain injection surface) throw
@@ -61,7 +60,6 @@ struct RecomputeOutcome {
   std::string what;                      ///< failure message when !ok
   model::LinkSet schedule;               ///< feasible set when ok
   double expected_rate = 0.0;  ///< policy diagnostic (reporting only)
-  double wall_seconds = 0.0;  ///< measured compute time (reporting only)
 };
 
 class ScheduleAgent {

@@ -1,18 +1,13 @@
 #include "serve/schedule_policy.hpp"
 
-#include <algorithm>
-#include <utility>
-
 #include "algorithms/weighted.hpp"
 #include "core/success_probability_batch.hpp"
 #include "model/network.hpp"
 #include "util/error.hpp"
-#include "util/fp.hpp"
 #include "util/rng.hpp"
 
 namespace raysched::serve {
 
-using model::LinkId;
 using model::LinkSet;
 using model::Network;
 
@@ -23,12 +18,11 @@ namespace {
 // position (same discipline as the service's traffic/churn/fading streams).
 constexpr std::uint64_t kAhmSampleTag = 0xA511;
 
-/// From-scratch max-weight: the pre-policy ScheduleAgent behavior, kept as
-/// the exactness fallback the incremental policy is pinned against.
+/// Max-weight without pricing: the weighted greedy feasible set alone.
 class MaxWeightPolicy final : public SchedulePolicy {
  public:
   MaxWeightPolicy(const Network& net, units::Threshold beta)
-      : net_(net), beta_(beta) {}
+      : oracle_(net, beta.value()) {}
 
   [[nodiscard]] PolicyKind kind() const override {
     return PolicyKind::MaxWeight;
@@ -36,33 +30,22 @@ class MaxWeightPolicy final : public SchedulePolicy {
 
   [[nodiscard]] PolicyResult compute(const ScheduleRequest& request) override {
     PolicyResult result;
-    result.schedule =
-        algorithms::weighted_greedy_capacity(net_, beta_.value(),
-                                             request.weights)
-            .selected;
+    oracle_.compute(request.weights, result.schedule);
     return result;
   }
 
  private:
-  const Network& net_;
-  units::Threshold beta_;
+  algorithms::WeightedGreedyOracle oracle_;
 };
 
-/// Incremental max-weight: same schedules as MaxWeightPolicy, bit for bit
-/// (WeightedGreedyOracle replays the greedy over a cached affectance
-/// matrix), plus a persistent Theorem-1 kernel that absorbs churn and
-/// schedule deltas incrementally and prices every schedule it emits.
+/// Max-weight with pricing: the same schedules as MaxWeightPolicy, bit for
+/// bit, each priced as a Theorem-1 expected service rate. Pricing reads only
+/// the schedule S (O(|S|^2) gains), so the policy keeps no state between
+/// requests beyond the oracle's scratch.
 class IncrementalMaxWeightPolicy final : public SchedulePolicy {
  public:
   IncrementalMaxWeightPolicy(const Network& net, units::Threshold beta)
-      : oracle_(net, beta.value()),
-        kernel_(net, beta),
-        in_schedule_(net.size(), 0) {
-    // Enter incremental mode immediately: q = 0 (nothing scheduled yet), so
-    // every later change is an update_link-family delta, never a rebuild.
-    kernel_.set_probabilities(
-        units::ProbabilityVector(net.size(), units::Probability(0.0)));
-  }
+      : net_(net), beta_(beta), oracle_(net, beta.value()) {}
 
   [[nodiscard]] PolicyKind kind() const override {
     return PolicyKind::MaxWeightIncremental;
@@ -71,58 +54,22 @@ class IncrementalMaxWeightPolicy final : public SchedulePolicy {
   [[nodiscard]] PolicyResult compute(const ScheduleRequest& request) override {
     PolicyResult result;
     oracle_.compute(request.weights, result.schedule);
-
-    // Diff the new schedule against the kernel's current transmit set and
-    // apply the whole delta in one batched walk: steady-state cost scales
-    // with what changed, not with n^2. Churned links need no special case:
-    // a link that left since the last submit has zero weight (its queue is
-    // gone), is never scheduled, and so falls out of the kernel through
-    // this same diff (its interference factor collapses to an exact 1) —
-    // bit-identical to an explicit remove_link, since update_links rebuilds
-    // each touched row once from final state.
-    updates_scratch_.clear();
-    mask_scratch_.assign(in_schedule_.size(), 0);
-    for (const LinkId i : result.schedule) mask_scratch_[i] = 1;
-    for (LinkId i = 0; i < in_schedule_.size(); ++i) {
-      if (in_schedule_[i] != mask_scratch_[i]) {
-        updates_scratch_.emplace_back(
-            i, units::Probability(mask_scratch_[i] != 0 ? 1.0 : 0.0));
-      }
-    }
-    kernel_.update_links(updates_scratch_);
-    in_schedule_.swap(mask_scratch_);
-    result.expected_rate = kernel_.expected_successes();
+    result.expected_rate =
+        core::batch_expected_successes_active(net_, result.schedule, beta_);
     return result;
   }
 
   void restore_state(const std::vector<double>& state,
                      const LinkSet& adopted_schedule) override {
+    (void)adopted_schedule;  // pricing is a pure function of each schedule
     require(state.empty(),
             "IncrementalMaxWeightPolicy: unexpected persisted state");
-    // Deterministic rebuild: re-seed the kernel from the restored adopted
-    // schedule. The kernel only feeds the expected_rate diagnostic, so the
-    // replayed *trajectory* is bit-identical regardless; the diagnostic
-    // re-converges at the next compute (docs/ROBUSTNESS.md).
-    kernel_.reset();
-    units::ProbabilityVector q(in_schedule_.size(),
-                               units::Probability(0.0));
-    std::fill(in_schedule_.begin(), in_schedule_.end(), 0);
-    for (const LinkId i : adopted_schedule) {
-      require(i < in_schedule_.size(),
-              "IncrementalMaxWeightPolicy: schedule id out of range");
-      q[i] = units::Probability(1.0);
-      in_schedule_[i] = 1;
-    }
-    kernel_.set_probabilities(q);
   }
 
  private:
+  const Network& net_;
+  units::Threshold beta_;
   algorithms::WeightedGreedyOracle oracle_;
-  core::SuccessProbabilityKernel kernel_;
-  std::vector<char> in_schedule_;  // the kernel's current transmit set
-  // compute() scratch, reused across requests (zero-alloc after warm-up).
-  std::vector<char> mask_scratch_;
-  std::vector<std::pair<LinkId, units::Probability>> updates_scratch_;
 };
 
 /// AHM stability policy: adaptive per-link transmission probabilities,

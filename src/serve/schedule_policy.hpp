@@ -5,21 +5,18 @@
 // serving loop can host the paper-adjacent scheduling algorithms side by
 // side:
 //
-//   max-weight              The exactness fallback: weighted_greedy_capacity
-//                           evaluated from scratch on every request. O(n^2)
-//                           affectance work per recompute — the latency
-//                           pathology BENCH_9 documented (p99/p50 ~ 52x at
-//                           n=4096).
-//   max-weight-incremental  Bit-identical schedules (pinned by
-//                           tests/test_schedule_policy.cpp) from a
-//                           persistent WeightedGreedyOracle that caches the
-//                           affectance matrix once, plus a persistent
-//                           SuccessProbabilityKernel in set_probabilities
-//                           mode that absorbs churn and schedule deltas
-//                           through remove_link/update_links (O((k+log n)n)
-//                           per recompute instead of O(n^2)) and prices each
-//                           adopted schedule as a Theorem-1 expected service
-//                           rate (RecomputeOutcome::expected_rate).
+//   max-weight              The exactness fallback: the weighted greedy
+//                           feasible set from a WeightedGreedyOracle that
+//                           reads the network's own gain matrix (O(n) state,
+//                           no n^2 cache), unpriced.
+//   max-weight-incremental  The same oracle, so bit-identical schedules
+//                           (pinned by tests/test_schedule_policy.cpp), each
+//                           priced as a Theorem-1 expected service rate
+//                           (RecomputeOutcome::expected_rate) by
+//                           core::batch_expected_successes_active over the
+//                           schedule alone — O(|S|^2), allocation-free.
+//                           Nothing is incremental any more; the name stays
+//                           because snapshots and --policy carry it.
 //   ahm                     The Ásgeirsson–Halldórsson–Mitra stability
 //                           algorithm (algorithms/ahm.hpp): per-link
 //                           adaptive transmission probabilities driven by
@@ -48,7 +45,6 @@
 
 #include "algorithms/ahm.hpp"
 #include "algorithms/weighted.hpp"
-#include "core/success_probability_batch.hpp"
 #include "model/network.hpp"
 #include "util/units.hpp"
 
@@ -78,7 +74,8 @@ struct ScheduleRequest {
   /// scheduled (inactive, shed, or worthless).
   std::vector<double> weights;
   /// Links that went inactive since the previous submit, ascending ids.
-  /// The incremental policy retires them from its kernel state.
+  /// No policy reads it (a departed link already has weight 0); it rides
+  /// along so a mid-flight snapshot resubmits the request verbatim.
   std::vector<model::LinkId> departed;
   /// Feedback for the AHM policy: the links of the previously adopted
   /// schedule that attempted service since the last submit, with a parallel
@@ -92,7 +89,8 @@ struct ScheduleRequest {
 struct PolicyResult {
   model::LinkSet schedule;  ///< ascending link ids
   /// Theorem-1 expected number of successful links if exactly `schedule`
-  /// transmits (incremental policy only; 0 elsewhere). Reporting-only.
+  /// transmits, bit-identical to model::expected_successes_rayleigh
+  /// (max-weight-incremental only; 0 elsewhere). Reporting-only.
   double expected_rate = 0.0;
 };
 
@@ -109,15 +107,15 @@ class SchedulePolicy {
 
   /// History-dependent state a snapshot must persist (the AHM probability
   /// vector); empty when compute() is a pure function of the request (both
-  /// max-weight policies, whose caches are rebuilt deterministically).
+  /// max-weight policies).
   [[nodiscard]] virtual std::vector<double> persisted_state() const {
     return {};
   }
 
   /// Restores policy state on a freshly constructed policy: `state` is a
   /// persisted_state() value and `adopted_schedule` the schedule the
-  /// restoring service adopted last (the incremental policy re-seeds its
-  /// kernel from it). Throws raysched::error on a malformed state.
+  /// restoring service adopted last (no current policy needs it). Throws
+  /// raysched::error on a malformed state.
   virtual void restore_state(const std::vector<double>& state,
                              const model::LinkSet& adopted_schedule) {
     (void)state;
@@ -133,10 +131,9 @@ struct PolicyOptions {
   std::uint64_t seed = 1;
 };
 
-/// Builds a policy bound to (net, beta). The policy copies what it needs;
-/// it does not hold a reference to `net`... except the from-scratch
-/// max-weight policy, which evaluates the network directly — its caller
-/// (the agent) already guarantees the network outlives it.
+/// Builds a policy bound to (net, beta). Both max-weight policies borrow
+/// `net` (their oracle reads its gain matrix), so the network must outlive
+/// the policy — the agent, its owner, already guarantees that.
 [[nodiscard]] std::unique_ptr<SchedulePolicy> make_schedule_policy(
     PolicyKind kind, const model::Network& net, units::Threshold beta,
     const PolicyOptions& options = {});

@@ -1,5 +1,6 @@
 // Runtime pin for the hot-path memory discipline that tools/raysched_mem
 // checks lexically: after warm-up, the steady-state serving slot loop, the
+// max-weight recompute (oracle compute plus Theorem-1 pricing), the
 // kernel's incremental update_link, and the out-buffer sinr_rayleigh_all
 // perform ZERO heap allocations. The counting operator new below is
 // program-wide for this binary but purely passive (it forwards to malloc
@@ -114,6 +115,35 @@ TEST(HotPathAllocs, SteadyStateSlotLoopNonFading) {
 
 TEST(HotPathAllocs, SteadyStateSlotLoopRayleigh) {
   expect_zero_alloc_slots(core::Propagation::Rayleigh);
+}
+
+// The work of a max-weight-incremental recompute: the greedy oracle over
+// the network's gains, then pricing the schedule it chose.
+TEST(HotPathAllocs, OracleComputeAndPricingAllocateNothing) {
+  const model::Network net = paper_network(48, 13);
+  const units::Threshold beta(2.5);
+  algorithms::WeightedGreedyOracle oracle(net, beta.value());
+  util::RngStream rng(88);
+  std::vector<std::vector<double>> requests(16);
+  for (auto& w : requests) {
+    w.resize(net.size());
+    for (double& x : w) x = rng.uniform() < 0.3 ? 0.0 : rng.uniform() * 40.0;
+  }
+  // Warm-up with every link backlogged: the scratch buffers reach n.
+  model::LinkSet selected;
+  selected.reserve(net.size());
+  oracle.compute(std::vector<double>(net.size(), 1.0), selected);
+  (void)core::batch_expected_successes_active(net, selected, beta);
+
+  const std::uint64_t base = alloc_count();
+  double priced = 0.0;
+  for (const auto& w : requests) {
+    oracle.compute(w, selected);
+    priced += core::batch_expected_successes_active(net, selected, beta);
+  }
+  EXPECT_EQ(alloc_count(), base)
+      << "oracle compute or pricing allocated after warm-up";
+  EXPECT_GT(priced, 0.0);
 }
 
 TEST(HotPathAllocs, KernelUpdateLinkAllocatesNothing) {

@@ -1,17 +1,21 @@
 // Tests for the pluggable schedule-recompute policies and their supporting
-// pieces: the WeightedGreedyOracle's bit-identity to the from-scratch
-// greedy, the incremental max-weight policy's bit-identity to the
-// from-scratch policy under churn, the AHM probability state machine, and
-// the saturating slot arithmetic the agent's deadline math runs on.
+// pieces: the WeightedGreedyOracle's bit-identity to a per-pair
+// affectance_raw reference greedy, the priced max-weight policy's
+// bit-identity to the unpriced one under churn (and its price to the scalar
+// Theorem-1 aggregate), the AHM probability state machine, and the
+// saturating slot arithmetic the agent's deadline math runs on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <limits>
+#include <numeric>
 #include <utility>
 #include <vector>
 
 #include "test_helpers.hpp"
+#include "util/fp.hpp"
 #include "util/saturate.hpp"
 
 namespace raysched::serve {
@@ -33,6 +37,56 @@ std::vector<double> random_weights(std::size_t n, util::RngStream& rng) {
 
 // ---- WeightedGreedyOracle -------------------------------------------------
 
+// The weighted greedy as it stood before the oracle read the gain matrix:
+// every affectance comes from a model::affectance_raw call per pair, and the
+// incoming sum on a candidate is rebuilt prefix by prefix. Kept here as the
+// reference, so the bit-identity pins compare two independent
+// implementations of the admission loop.
+LinkSet reference_weighted_greedy(const model::Network& net, double beta,
+                                  const std::vector<double>& weights,
+                                  double tau = 1.0) {
+  std::vector<LinkId> order(net.size());
+  std::iota(order.begin(), order.end(), LinkId{0});
+  std::stable_sort(order.begin(), order.end(), [&](LinkId a, LinkId b) {
+    if (weights[a] != weights[b]) return weights[a] > weights[b];
+    if (net.has_geometry()) {
+      return net.link(a).length() < net.link(b).length();
+    }
+    return a < b;
+  });
+  const units::Threshold beta_t(beta);
+  LinkSet selected;
+  std::vector<double> in(net.size(), 0.0);
+  for (LinkId i : order) {
+    if (util::fp::exact_zero(weights[i])) continue;  // worthless links
+    if (net.signal(i) / beta <= net.noise()) continue;
+    double on_i = 0.0;
+    bool ok = true;
+    for (LinkId j : selected) {
+      on_i += model::affectance_raw(net, j, i, beta_t);
+      if (on_i > tau ||
+          in[j] + model::affectance_raw(net, i, j, beta_t) > tau) {
+        ok = false;
+        break;
+      }
+    }
+    if (!ok) continue;
+    for (LinkId j : selected) {
+      in[j] += model::affectance_raw(net, i, j, beta_t);
+    }
+    in[i] = on_i;
+    selected.push_back(i);
+  }
+  std::sort(selected.begin(), selected.end());
+  return selected;
+}
+
+double weight_of(const LinkSet& set, const std::vector<double>& weights) {
+  double sum = 0.0;
+  for (LinkId i : set) sum += weights[i];
+  return sum;
+}
+
 TEST(WeightedGreedyOracle, MatchesFreeFunctionBitwiseOnGeometry) {
   auto net = paper_network(24, 51);
   const double beta = 2.5;
@@ -41,14 +95,19 @@ TEST(WeightedGreedyOracle, MatchesFreeFunctionBitwiseOnGeometry) {
   util::RngStream rng(17);
   LinkSet cached;
   for (int round = 0; round < 25; ++round) {
-    const std::vector<double> w = random_weights(net.size(), rng);
+    std::vector<double> w = random_weights(net.size(), rng);
+    // Equal weights make the length tie-break decide the order.
+    if (round % 5 == 0) std::fill(w.begin(), w.begin() + 12, 7.0);
     oracle.compute(w, cached);
+    const LinkSet reference = reference_weighted_greedy(net, beta, w);
+    EXPECT_EQ(cached, reference) << "round " << round;
+    const algorithms::WeightedCapacityResult owned = oracle.compute(w);
+    EXPECT_EQ(owned.selected, reference);
+    EXPECT_EQ(owned.value, weight_of(reference, w));  // same doubles summed
     const algorithms::WeightedCapacityResult direct =
         algorithms::weighted_greedy_capacity(net, beta, w);
-    EXPECT_EQ(cached, direct.selected) << "round " << round;
-    const algorithms::WeightedCapacityResult owned = oracle.compute(w);
-    EXPECT_EQ(owned.selected, direct.selected);
-    EXPECT_EQ(owned.value, direct.value);  // bitwise: same doubles summed
+    EXPECT_EQ(direct.selected, reference);
+    EXPECT_EQ(direct.value, owned.value);
   }
 }
 
@@ -63,13 +122,14 @@ TEST(WeightedGreedyOracle, MatchesFreeFunctionOnMatrixNetwork) {
     std::vector<double> w = random_weights(net.size(), rng);
     if (round == 0) w = {5.0, 5.0, 5.0};  // all-ties: id order decides
     oracle.compute(w, cached);
-    EXPECT_EQ(cached,
-              algorithms::weighted_greedy_capacity(net, beta, w).selected)
+    EXPECT_EQ(cached, reference_weighted_greedy(net, beta, w))
         << "round " << round;
+    EXPECT_EQ(cached,
+              algorithms::weighted_greedy_capacity(net, beta, w).selected);
   }
 }
 
-TEST(WeightedGreedyOracle, CachesTheRawAffectance) {
+TEST(WeightedGreedyOracle, ReadsTheRawAffectance) {
   auto net = paper_network(8, 52);
   const units::Threshold beta(2.5);
   algorithms::WeightedGreedyOracle oracle(net, beta.value());
@@ -80,6 +140,64 @@ TEST(WeightedGreedyOracle, CachesTheRawAffectance) {
           << j << "->" << i;
     }
   }
+}
+
+TEST(WeightedGreedyOracle, MatchesReferenceOnEdgeCases) {
+  const double beta = 2.0;
+  // Link 1 is infeasible even alone with budget exactly 0 (S(1,1)/beta ==
+  // nu), and link 3 with a negative budget. Cross gains onto link 1 are 0,
+  // the 0/0 a naive gain/budget would turn into NaN.
+  const model::Network skewed(
+      4,
+      {8.0, 0.0, 0.5, 0.25,   // sender 0
+       0.5, 2.0, 0.5, 0.5,    // sender 1
+       1.0, 0.0, 8.0, 0.5,    // sender 2
+       0.5, 0.0, 0.25, 1.0},  // sender 3
+      units::Power(1.0));
+  // Geometry-free with zero cross gains: every affectance is exactly 0.
+  const model::Network isolated(
+      3, {3.0, 0.0, 0.0, 0.0, 5.0, 0.0, 0.0, 0.0, 7.0}, units::Power(0.5));
+
+  for (const model::Network* net : {&skewed, &isolated}) {
+    algorithms::WeightedGreedyOracle oracle(*net, beta);
+    for (LinkId j = 0; j < net->size(); ++j) {
+      for (LinkId i = 0; i < net->size(); ++i) {
+        const double a = oracle.affectance(j, i);
+        EXPECT_FALSE(std::isnan(a)) << j << "->" << i;
+        EXPECT_EQ(a, model::affectance_raw(*net, j, i, units::Threshold(beta)))
+            << j << "->" << i;
+      }
+    }
+    util::RngStream rng(41);
+    LinkSet out;
+    for (double tau : {1.0, 0.5, 0.05}) {
+      algorithms::GreedyOptions options;
+      options.tau = tau;
+      for (int round = 0; round < 12; ++round) {
+        std::vector<double> w = random_weights(net->size(), rng);
+        if (round == 0) w.assign(net->size(), 1.0);  // every link a candidate
+        oracle.compute(w, out, options);
+        EXPECT_EQ(out, reference_weighted_greedy(*net, beta, w, tau))
+            << "tau " << tau << " round " << round;
+      }
+      // All-zero weights: no candidate, nothing selected, zero value.
+      const std::vector<double> zeros(net->size(), 0.0);
+      const algorithms::WeightedCapacityResult none =
+          oracle.compute(zeros, options);
+      EXPECT_TRUE(none.selected.empty());
+      EXPECT_EQ(none.value, 0.0);
+    }
+  }
+  // The infeasible-alone links are never admitted; with no cross gains
+  // every feasible link is.
+  algorithms::WeightedGreedyOracle skewed_oracle(skewed, beta);
+  const LinkSet all_skewed =
+      skewed_oracle.compute(std::vector<double>(4, 1.0)).selected;
+  EXPECT_EQ(std::count(all_skewed.begin(), all_skewed.end(), LinkId{1}), 0);
+  EXPECT_EQ(std::count(all_skewed.begin(), all_skewed.end(), LinkId{3}), 0);
+  algorithms::WeightedGreedyOracle isolated_oracle(isolated, beta);
+  EXPECT_EQ(isolated_oracle.compute(std::vector<double>(3, 1.0)).selected,
+            (LinkSet{0, 1, 2}));
 }
 
 TEST(WeightedGreedyOracle, ValidatesInput) {
@@ -134,8 +252,8 @@ TEST(SchedulePolicy, IncrementalMatchesFromScratchUnderChurn) {
     const PolicyResult a = scratch->compute(request);
     const PolicyResult b = incremental->compute(request);
     EXPECT_EQ(a.schedule, b.schedule) << "slot " << slot;
-    // The incremental policy prices its schedule; the kernel's q is the
-    // schedule indicator, so the expected rate is positive whenever
+    EXPECT_EQ(a.expected_rate, 0.0);  // the unpriced policy
+    // The incremental policy prices its schedule: positive whenever
     // anything is scheduled, bounded by the schedule size.
     if (!b.schedule.empty()) {
       EXPECT_GT(b.expected_rate, 0.0) << "slot " << slot;
@@ -144,6 +262,38 @@ TEST(SchedulePolicy, IncrementalMatchesFromScratchUnderChurn) {
       EXPECT_EQ(b.expected_rate, 0.0);
     }
   }
+}
+
+TEST(SchedulePolicy, ExpectedRateIsTheScalarPriceBitwise) {
+  auto net = paper_network(20, 57);
+  const units::Threshold beta(2.5);
+  auto fresh =
+      make_schedule_policy(PolicyKind::MaxWeightIncremental, net, beta);
+  util::RngStream rng(73);
+  LinkSet adopted;
+  for (std::uint64_t slot = 0; slot < 8; ++slot) {
+    ScheduleRequest request;
+    request.slot = slot;
+    request.weights = random_weights(net.size(), rng);
+    const PolicyResult r = fresh->compute(request);
+    EXPECT_EQ(r.expected_rate,
+              model::expected_successes_rayleigh(net, r.schedule, beta))
+        << "slot " << slot;
+    adopted = r.schedule;
+  }
+
+  auto restored =
+      make_schedule_policy(PolicyKind::MaxWeightIncremental, net, beta);
+  restored->restore_state({}, adopted);
+  ScheduleRequest next;
+  next.slot = 8;
+  next.weights = random_weights(net.size(), rng);
+  const PolicyResult r = restored->compute(next);
+  EXPECT_EQ(r.expected_rate,
+            model::expected_successes_rayleigh(net, r.schedule, beta));
+  EXPECT_EQ(r.schedule, fresh->compute(next).schedule);
+  // A non-empty persisted state is a contract violation for this policy.
+  EXPECT_THROW(restored->restore_state({0.5}, adopted), raysched::error);
 }
 
 TEST(SchedulePolicy, IncrementalRestoreRebuildsDeterministically) {

@@ -274,6 +274,17 @@ TEST(SuccessBatchIncremental, UpdateLinkMatchesFromScratchBitwise) {
   for (LinkId i = 0; i < n; ++i) {
     EXPECT_EQ(incremental.probabilities()[i].value(), q[i]);
   }
+
+  // Single-link network: the forest has one leaf and no interior rows.
+  model::Network tiny(1, std::vector<double>{4.0}, units::Power(0.1));
+  SuccessProbabilityKernel one(tiny, units::Threshold(1.0));
+  one.set_probabilities(units::probabilities({0.25}));
+  one.update_link(0, units::Probability(0.75));
+  SuccessProbabilityKernel fresh(tiny, units::Threshold(1.0));
+  fresh.set_probabilities(units::probabilities({0.75}));
+  EXPECT_EQ(one.success_probabilities()[0], fresh.success_probabilities()[0]);
+  one.update_link(0, units::Probability(0.0));
+  EXPECT_EQ(one.success_probabilities()[0], 0.0);
 }
 
 TEST(SuccessBatchIncremental, AgreesWithOneShotAndScalar) {
@@ -326,90 +337,9 @@ TEST(SuccessBatchIncremental, GuardsItsPreconditions) {
 }
 
 // ---------------------------------------------------------------------------
-// Lifecycle under churn: batched updates, departures, reset. Everything is
-// pinned bit-for-bit against sequential update_link and from-scratch
-// set_probabilities — the incremental serving policy relies on it.
+// Lifecycle: reset and re-seeding, pinned bit-for-bit against from-scratch
+// set_probabilities.
 // ---------------------------------------------------------------------------
-
-TEST(SuccessBatchLifecycle, BatchedUpdatesMatchSequentialBitwise) {
-  const std::size_t n = 33;  // non-power-of-two: padded leaves exercised
-  auto net = paper_network(n, 44);
-  const units::Threshold beta(2.5);
-  std::vector<double> q = random_profile(n, 0xABBA);
-
-  SuccessProbabilityKernel batched(net, beta);
-  SuccessProbabilityKernel sequential(net, beta);
-  batched.set_probabilities(units::probabilities(q));
-  sequential.set_probabilities(units::probabilities(q));
-
-  util::RngStream rng(2718);
-  for (int round = 0; round < 25; ++round) {
-    // Batches of varying size, duplicate-free, mixing 0/1 edges with
-    // interior values and adjacent leaf pairs (shared parents).
-    std::vector<std::pair<LinkId, units::Probability>> updates;
-    const std::size_t batch = 1 + rng.uniform_index(8);
-    std::vector<char> used(n, 0);
-    for (std::size_t k = 0; k < batch; ++k) {
-      const auto id = static_cast<LinkId>(rng.uniform_index(n));
-      if (used[id] != 0) continue;
-      used[id] = 1;
-      const double v =
-          round % 6 == 0 ? 0.0 : round % 4 == 0 ? 1.0 : rng.uniform();
-      updates.emplace_back(id, units::Probability(v));
-    }
-    batched.update_links(updates);
-    for (const auto& [id, v] : updates) sequential.update_link(id, v);
-
-    for (LinkId i = 0; i < n; ++i) {
-      EXPECT_EQ(batched.success_probabilities()[i],
-                sequential.success_probabilities()[i])
-          << "round " << round << " link " << i;
-    }
-    EXPECT_EQ(batched.expected_successes(), sequential.expected_successes())
-        << "round " << round;
-  }
-}
-
-TEST(SuccessBatchLifecycle, ChurnInterleavingMatchesFromScratchBitwise) {
-  // The serving-loop pattern: departures (remove_link), arrivals and
-  // schedule flips (update_links), interleaved — always bit-for-bit equal
-  // to a fresh kernel seeded with the final profile.
-  const std::size_t n = 19;
-  auto net = paper_network(n, 45);
-  const units::Threshold beta(2.0);
-  std::vector<double> q(n, 0.0);
-  for (LinkId i = 0; i < n; i += 2) q[i] = 1.0;
-
-  SuccessProbabilityKernel kernel(net, beta);
-  kernel.set_probabilities(units::probabilities(q));
-
-  util::RngStream rng(555);
-  for (int round = 0; round < 30; ++round) {
-    if (round % 3 == 0) {
-      const auto gone = static_cast<LinkId>(rng.uniform_index(n));
-      kernel.remove_link(gone);  // departure: exactly update_link(id, 0)
-      q[gone] = 0.0;
-    } else {
-      std::vector<std::pair<LinkId, units::Probability>> updates;
-      for (int k = 0; k < 3; ++k) {
-        const auto id = static_cast<LinkId>(rng.uniform_index(n));
-        const double v = q[id] > 0.5 ? 0.0 : 1.0;  // schedule flip
-        q[id] = v;
-        // Later entries for the same id win, matching sequential replay.
-        updates.emplace_back(id, units::Probability(v));
-      }
-      kernel.update_links(updates);
-    }
-    SuccessProbabilityKernel fresh(net, beta);
-    fresh.set_probabilities(units::probabilities(q));
-    for (LinkId i = 0; i < n; ++i) {
-      EXPECT_EQ(kernel.success_probabilities()[i],
-                fresh.success_probabilities()[i])
-          << "round " << round << " link " << i;
-    }
-    EXPECT_EQ(kernel.expected_successes(), fresh.expected_successes());
-  }
-}
 
 TEST(SuccessBatchLifecycle, ResetDropsStateAndAllowsReseeding) {
   auto net = paper_network(8, 46);
@@ -423,7 +353,6 @@ TEST(SuccessBatchLifecycle, ResetDropsStateAndAllowsReseeding) {
   EXPECT_THROW(kernel.success_probabilities(), raysched::error);
   EXPECT_THROW(kernel.update_link(0, units::Probability(0.5)),
                raysched::error);
-  EXPECT_THROW(kernel.remove_link(0), raysched::error);
 
   // Re-seeding after reset is bit-identical to a virgin kernel.
   const auto q2 = units::probabilities(random_profile(8, 4));
@@ -434,29 +363,6 @@ TEST(SuccessBatchLifecycle, ResetDropsStateAndAllowsReseeding) {
     EXPECT_EQ(kernel.success_probabilities()[i],
               fresh.success_probabilities()[i]);
   }
-}
-
-TEST(SuccessBatchLifecycle, BatchedUpdateEdgeCases) {
-  auto net = hand_matrix_network();
-  SuccessProbabilityKernel kernel(net, units::Threshold(1.0));
-  EXPECT_THROW(kernel.update_links({{0, units::Probability(0.5)}}),
-               raysched::error);  // before set_probabilities
-  kernel.set_probabilities(units::probabilities({0.5, 0.5, 0.5}));
-  kernel.update_links({});  // empty batch is a no-op, not an error
-  EXPECT_THROW(kernel.update_links({{7, units::Probability(0.5)}}),
-               raysched::error);  // id out of range
-
-  // Single-link network: the forest has one leaf and no interior rows.
-  model::Network tiny(1, std::vector<double>{4.0}, units::Power(0.1));
-  SuccessProbabilityKernel one(tiny, units::Threshold(1.0));
-  one.set_probabilities(units::probabilities({0.25}));
-  one.update_links({{0, units::Probability(0.75)}});
-  SuccessProbabilityKernel fresh(tiny, units::Threshold(1.0));
-  fresh.set_probabilities(units::probabilities({0.75}));
-  EXPECT_EQ(one.success_probabilities()[0],
-            fresh.success_probabilities()[0]);
-  one.remove_link(0);
-  EXPECT_EQ(one.success_probabilities()[0], 0.0);
 }
 
 // ---------------------------------------------------------------------------
@@ -502,6 +408,11 @@ TEST(SuccessBatchExecutor, PoolChunkingIsBitwiseIdenticalToSerial) {
   for (LinkId i = 0; i < 41; ++i) EXPECT_EQ(plain[i], fanned[i]);
   EXPECT_EQ(batch_expected_rayleigh_successes(net, q, beta),
             batch_expected_rayleigh_successes(net, q, beta, exec));
+  // The serial active-set sum runs in place; the fanned one sums a buffer.
+  model::LinkSet active;
+  for (LinkId i = 0; i < 41; i += 2) active.push_back(i);
+  EXPECT_EQ(batch_expected_successes_active(net, active, beta),
+            batch_expected_successes_active(net, active, beta, exec));
 }
 
 }  // namespace
