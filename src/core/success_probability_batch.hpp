@@ -23,28 +23,17 @@
 //    pinned regression values are preserved to the last bit.
 //
 // Layering: the kernel lives in core and must not include learning/ or sim/
-// (raysched_arch RS-A1). Parallel execution is injected through the
-// BatchExecutor hook below; sim/batch_executor.hpp adapts sim::ThreadPool to
-// it. With no executor every entry point runs serially, and results are
-// identical either way because chunking never changes per-element arithmetic.
+// (raysched_arch RS-A1). Every entry point runs serially on the calling
+// thread; callers that want parallelism split work above this layer.
 #pragma once
 
 #include <cstddef>
-#include <functional>
-#include <utility>
 #include <vector>
 
 #include "model/network.hpp"
 #include "util/units.hpp"
 
 namespace raysched::core {
-
-/// Parallel-for hook: exec(count, body) must invoke body(begin, end) over
-/// disjoint chunks covering [0, count), blocking until all chunks are done.
-/// An empty executor means "run serially". Chunk boundaries never affect
-/// results: each element is computed independently of its chunk.
-using BatchExecutor = std::function<void(
-    std::size_t, const std::function<void(std::size_t, std::size_t)>&)>;
 
 /// Batched Theorem-1 evaluator bound to one (network, beta) pair.
 ///
@@ -64,14 +53,10 @@ class SuccessProbabilityKernel {
  public:
   /// Precomputes the affectance matrix and noise factors: O(n^2) time,
   /// O(n^2) memory. Throws raysched::error unless beta > 0.
-  SuccessProbabilityKernel(const model::Network& net, units::Threshold beta,
-                           BatchExecutor executor = {});
+  SuccessProbabilityKernel(const model::Network& net, units::Threshold beta);
 
   [[nodiscard]] std::size_t size() const { return n_; }
   [[nodiscard]] units::Threshold beta() const { return beta_; }
-
-  /// Replaces the parallel-for hook (empty reverts to serial execution).
-  void set_executor(BatchExecutor executor);
 
   /// The precomputed normalized affectance c(sender, receiver) =
   /// beta*S(j,i) / (beta*S(j,i) + S(i,i)); zero on the diagonal so the
@@ -110,20 +95,11 @@ class SuccessProbabilityKernel {
   void set_probabilities(const units::ProbabilityVector& q);
 
   /// Incremental single-link change: sets q[sender] = value and refreshes
-  /// every cached success probability in O(n log n) worst case by
-  /// recomputing one leaf row and the log2(n) ancestors above it. Ancestors
-  /// whose sibling subtree holds no nonzero q are aliased instead of
-  /// multiplied out (see rep_), so with a sparse q the real cost is O(n)
-  /// times the number of merge nodes on the path. Bit-for-bit equal to
-  /// calling set_probabilities with the updated vector. Requires
-  /// set_probabilities to have been called.
+  /// every cached success probability in O(n log n) by recomputing one leaf
+  /// row and the log2(n) ancestors above it. Bit-for-bit equal to calling
+  /// set_probabilities with the updated vector. Requires set_probabilities
+  /// to have been called.
   void update_link(model::LinkId sender, units::Probability value);
-
-  /// Leaves incremental mode: discards q and the cached values but keeps
-  /// the affectance matrix and the (already-sized) product forest, so the
-  /// next set_probabilities pays no allocation. One-shot evaluation is
-  /// unaffected. Safe to call in any state.
-  void reset();
 
   /// True once set_probabilities has been called.
   [[nodiscard]] bool has_state() const { return has_state_; }
@@ -140,17 +116,8 @@ class SuccessProbabilityKernel {
 
  private:
   void validate_input(const units::ProbabilityVector& q) const;
-  void run_chunks(
-      std::size_t count,
-      const std::function<void(std::size_t, std::size_t)>& body) const;
-  [[nodiscard]] bool sparse_eligible() const;
-  void rebuild_tree();
   void refresh_interior(std::size_t node);
   void refresh_values();
-  void sparse_refresh_values();
-  double* combine_sparse(std::size_t lo, std::size_t hi, std::size_t a,
-                         std::size_t b, std::size_t& top, std::size_t col0,
-                         std::size_t col1);
 
   std::size_t n_ = 0;
   std::size_t leaves_ = 1;  // bit_ceil(n): power-of-two leaf count per tree
@@ -162,40 +129,14 @@ class SuccessProbabilityKernel {
   std::vector<double> noise_factor_;
   // Transposed product forest: row k (k in [1, 2*leaves_)) holds node k of
   // every link's tree contiguously, so leaf and path refreshes are linear
-  // sweeps. Row k = n_ doubles at tree_[k*n_]. Allocated lazily by
-  // set_probabilities; one-shot evaluation never pays for it.
-  //
-  // Sparse representation: rep_[k] names the node whose materialized row
-  // holds node k's product — 0 when the whole subtree is an identity (all
-  // q in it are exactly 0, so the product row is exactly all-ones), the id
-  // of the single non-identity child's representative when only one side
-  // contributes, and k itself when both children contribute and the row at
-  // tree_[k*n_] was multiplied out. Because 1.0 * x == x exactly in IEEE
-  // arithmetic, skipping identity factors and aliasing through single
-  // contributors yields the same bits as materializing every row, while a
-  // sparse q (coordinate ascent's restart from q = 0) touches O(#nonzero)
-  // rows instead of O(n).
+  // sweeps. Row k = n_ doubles at tree_[k*n_]. Allocated by the first
+  // set_probabilities; one-shot evaluation never pays for it. Rows
+  // [leaves_+n_, 2*leaves_) are padding leaves of links that do not exist,
+  // held at 1.0 so they multiply as exact identities.
   std::vector<double> tree_;
-  std::vector<std::size_t> rep_;
   std::vector<double> values_;
   units::ProbabilityVector q_;
   bool has_state_ = false;
-  // Number of links with a nonzero q. When it is small (sparse_eligible),
-  // the update path skips interior maintenance entirely and recompute the
-  // cached values by folding the nonzero leaves in the exact tree
-  // association via a log-depth scratch stack (combine_sparse) — the same
-  // multiplication tree, so the same bits, at O(#nonzero * n) per refresh
-  // with no O(n^2) tree allocation. tree_dirty_ records that the interior
-  // rows are stale; the first dense update after a sparse phase rebuilds
-  // them from q_ (rebuild_tree).
-  std::size_t nz_count_ = 0;
-  bool tree_dirty_ = true;
-  BatchExecutor exec_;
-  // combine_sparse scratch: the ascending ids of nonzero-q links, and a
-  // stack pool of ceil(log2(leaves_))+1 rows (one live row per recursion
-  // level). Reused across refreshes — zero-alloc after warm-up.
-  std::vector<model::LinkId> nz_scratch_;
-  std::vector<double> stack_scratch_;
 };
 
 /// Fused batch form of the scalar Theorem-1 per-link values: validates q
@@ -203,14 +144,14 @@ class SuccessProbabilityKernel {
 /// every link (bit-identical per element, including the q_i == 0 -> 0 case).
 [[nodiscard]] std::vector<double> batch_rayleigh_success_probabilities(
     const model::Network& net, const units::ProbabilityVector& q,
-    units::Threshold beta, const BatchExecutor& executor = {});
+    units::Threshold beta);
 
 /// Fused batch form of expected_rayleigh_successes: one validation sweep,
 /// per-link values as above, summed in ascending link order. Bit-identical
 /// to the scalar aggregate (which now delegates here).
 [[nodiscard]] double batch_expected_rayleigh_successes(
     const model::Network& net, const units::ProbabilityVector& q,
-    units::Threshold beta, const BatchExecutor& executor = {});
+    units::Threshold beta);
 
 /// Fused batch form of model::success_probability_rayleigh over an active
 /// set (q in {0,1}): out[a] is the success probability of active[a] against
@@ -219,13 +160,13 @@ class SuccessProbabilityKernel {
 /// hoisted to one sweep over the set.
 [[nodiscard]] std::vector<double> batch_success_probabilities_active(
     const model::Network& net, const model::LinkSet& active,
-    units::Threshold beta, const BatchExecutor& executor = {});
+    units::Threshold beta);
 
 /// Fused batch form of model::expected_successes_rayleigh: the values above
-/// summed in set order. Bit-identical to the scalar aggregate. With no
-/// executor it sums in place and allocates nothing.
+/// summed in set order. Bit-identical to the scalar aggregate; it sums in
+/// place and allocates nothing.
 [[nodiscard]] double batch_expected_successes_active(
     const model::Network& net, const model::LinkSet& active,
-    units::Threshold beta, const BatchExecutor& executor = {});
+    units::Threshold beta);
 
 }  // namespace raysched::core

@@ -2,8 +2,8 @@
 //
 // The serving loop must keep draining queues while a schedule recompute
 // runs. The agent executes the recompute — delegated to a pluggable
-// SchedulePolicy (serve/schedule_policy.hpp): from-scratch max-weight,
-// incremental max-weight, or the AHM stability algorithm — on its own
+// SchedulePolicy (serve/schedule_policy.hpp): priced max-weight or the AHM
+// stability algorithm — on its own
 // sim::ThreadPool and hands the result back under a *slot-deterministic*
 // protocol:
 //
@@ -29,7 +29,7 @@
 //
 // The policy object is touched only inside the worker task; tasks are
 // strictly serialized (one in flight, reap() joins the pool), so stateful
-// policies (incremental kernel, AHM probabilities) need no locking. The
+// policies (the AHM probabilities) need no locking. The
 // serving loop reads policy state for snapshots only while nothing is in
 // flight.
 //

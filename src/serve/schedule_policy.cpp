@@ -18,37 +18,17 @@ namespace {
 // position (same discipline as the service's traffic/churn/fading streams).
 constexpr std::uint64_t kAhmSampleTag = 0xA511;
 
-/// Max-weight without pricing: the weighted greedy feasible set alone.
+/// Max-weight: the weighted greedy feasible set, priced as a Theorem-1
+/// expected service rate. Pricing reads only the schedule S (O(|S|^2)
+/// gains), so the policy keeps no state between requests beyond the
+/// oracle's scratch.
 class MaxWeightPolicy final : public SchedulePolicy {
  public:
   MaxWeightPolicy(const Network& net, units::Threshold beta)
-      : oracle_(net, beta.value()) {}
-
-  [[nodiscard]] PolicyKind kind() const override {
-    return PolicyKind::MaxWeight;
-  }
-
-  [[nodiscard]] PolicyResult compute(const ScheduleRequest& request) override {
-    PolicyResult result;
-    oracle_.compute(request.weights, result.schedule);
-    return result;
-  }
-
- private:
-  algorithms::WeightedGreedyOracle oracle_;
-};
-
-/// Max-weight with pricing: the same schedules as MaxWeightPolicy, bit for
-/// bit, each priced as a Theorem-1 expected service rate. Pricing reads only
-/// the schedule S (O(|S|^2) gains), so the policy keeps no state between
-/// requests beyond the oracle's scratch.
-class IncrementalMaxWeightPolicy final : public SchedulePolicy {
- public:
-  IncrementalMaxWeightPolicy(const Network& net, units::Threshold beta)
       : net_(net), beta_(beta), oracle_(net, beta.value()) {}
 
   [[nodiscard]] PolicyKind kind() const override {
-    return PolicyKind::MaxWeightIncremental;
+    return PolicyKind::MaxWeight;
   }
 
   [[nodiscard]] PolicyResult compute(const ScheduleRequest& request) override {
@@ -62,8 +42,7 @@ class IncrementalMaxWeightPolicy final : public SchedulePolicy {
   void restore_state(const std::vector<double>& state,
                      const LinkSet& adopted_schedule) override {
     (void)adopted_schedule;  // pricing is a pure function of each schedule
-    require(state.empty(),
-            "IncrementalMaxWeightPolicy: unexpected persisted state");
+    require(state.empty(), "MaxWeightPolicy: unexpected persisted state");
   }
 
  private:
@@ -115,16 +94,18 @@ class AhmPolicy final : public SchedulePolicy {
 
 const char* to_string(PolicyKind kind) {
   switch (kind) {
-    case PolicyKind::MaxWeight:            return "max-weight";
-    case PolicyKind::MaxWeightIncremental: return "max-weight-incremental";
-    case PolicyKind::Ahm:                  return "ahm";
+    case PolicyKind::MaxWeight: return "max-weight";
+    case PolicyKind::Ahm:       return "ahm";
   }
   return "unknown";
 }
 
 PolicyKind policy_kind_from_string(const std::string& name) {
-  if (name == "max-weight") return PolicyKind::MaxWeight;
-  if (name == "max-weight-incremental") return PolicyKind::MaxWeightIncremental;
+  // The second name is the pre-merge priced policy's; v2 snapshots and
+  // --policy values may still carry it.
+  if (name == "max-weight" || name == "max-weight-incremental") {
+    return PolicyKind::MaxWeight;
+  }
   if (name == "ahm") return PolicyKind::Ahm;
   throw error("policy_kind_from_string: unknown policy '" + name + "'");
 }
@@ -135,8 +116,6 @@ std::unique_ptr<SchedulePolicy> make_schedule_policy(
   switch (kind) {
     case PolicyKind::MaxWeight:
       return std::make_unique<MaxWeightPolicy>(net, beta);
-    case PolicyKind::MaxWeightIncremental:
-      return std::make_unique<IncrementalMaxWeightPolicy>(net, beta);
     case PolicyKind::Ahm:
       return std::make_unique<AhmPolicy>(net.size(), options.ahm,
                                          options.seed);

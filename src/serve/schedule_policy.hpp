@@ -5,18 +5,16 @@
 // serving loop can host the paper-adjacent scheduling algorithms side by
 // side:
 //
-//   max-weight              The exactness fallback: the weighted greedy
-//                           feasible set from a WeightedGreedyOracle that
-//                           reads the network's own gain matrix (O(n) state,
-//                           no n^2 cache), unpriced.
-//   max-weight-incremental  The same oracle, so bit-identical schedules
-//                           (pinned by tests/test_schedule_policy.cpp), each
+//   max-weight              The weighted greedy feasible set from a
+//                           WeightedGreedyOracle that reads the network's
+//                           own gain matrix (O(n) state, no n^2 cache),
 //                           priced as a Theorem-1 expected service rate
 //                           (RecomputeOutcome::expected_rate) by
 //                           core::batch_expected_successes_active over the
 //                           schedule alone — O(|S|^2), allocation-free.
-//                           Nothing is incremental any more; the name stays
-//                           because snapshots and --policy carry it.
+//                           "max-weight-incremental", the name of the
+//                           priced policy before the two max-weight
+//                           policies merged, still parses to this kind.
 //   ahm                     The Ásgeirsson–Halldórsson–Mitra stability
 //                           algorithm (algorithms/ahm.hpp): per-link
 //                           adaptive transmission probabilities driven by
@@ -52,14 +50,17 @@ namespace raysched::serve {
 
 enum class PolicyKind : std::uint8_t {
   MaxWeight = 0,
-  MaxWeightIncremental = 1,
+  /// Alias of MaxWeight, kept only because the benchmark driver (rsbench/)
+  /// names it and must build unchanged. New code uses MaxWeight.
+  MaxWeightIncremental = MaxWeight,
   Ahm = 2,
 };
 
 /// Stable lowercase name (snapshot fingerprint + CLI flag values).
 [[nodiscard]] const char* to_string(PolicyKind kind);
 
-/// Parses the names produced by to_string. Throws raysched::error on an
+/// Parses the names produced by to_string, plus the legacy
+/// "max-weight-incremental" (-> MaxWeight). Throws raysched::error on an
 /// unknown name.
 [[nodiscard]] PolicyKind policy_kind_from_string(const std::string& name);
 
@@ -79,8 +80,7 @@ struct ScheduleRequest {
   std::vector<model::LinkId> departed;
   /// Feedback for the AHM policy: the links of the previously adopted
   /// schedule that attempted service since the last submit, with a parallel
-  /// flag vector (1 = served at least one packet). Empty for the max-weight
-  /// policies.
+  /// flag vector (1 = served at least one packet). Empty for max-weight.
   model::LinkSet feedback_schedule;
   std::vector<char> feedback_success;
 };
@@ -90,7 +90,7 @@ struct PolicyResult {
   model::LinkSet schedule;  ///< ascending link ids
   /// Theorem-1 expected number of successful links if exactly `schedule`
   /// transmits, bit-identical to model::expected_successes_rayleigh
-  /// (max-weight-incremental only; 0 elsewhere). Reporting-only.
+  /// (max-weight only; 0 for ahm). Reporting-only.
   double expected_rate = 0.0;
 };
 
@@ -106,8 +106,8 @@ class SchedulePolicy {
   [[nodiscard]] virtual PolicyResult compute(const ScheduleRequest& request) = 0;
 
   /// History-dependent state a snapshot must persist (the AHM probability
-  /// vector); empty when compute() is a pure function of the request (both
-  /// max-weight policies).
+  /// vector); empty when compute() is a pure function of the request
+  /// (max-weight).
   [[nodiscard]] virtual std::vector<double> persisted_state() const {
     return {};
   }
@@ -131,9 +131,9 @@ struct PolicyOptions {
   std::uint64_t seed = 1;
 };
 
-/// Builds a policy bound to (net, beta). Both max-weight policies borrow
-/// `net` (their oracle reads its gain matrix), so the network must outlive
-/// the policy — the agent, its owner, already guarantees that.
+/// Builds a policy bound to (net, beta). The max-weight policy borrows `net`
+/// (its oracle reads the gain matrix), so the network must outlive the
+/// policy — the agent, its owner, already guarantees that.
 [[nodiscard]] std::unique_ptr<SchedulePolicy> make_schedule_policy(
     PolicyKind kind, const model::Network& net, units::Threshold beta,
     const PolicyOptions& options = {});

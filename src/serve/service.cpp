@@ -557,7 +557,15 @@ void Service::restore(const ServeSnapshot& snap) {
   require_code(snap.traffic_model == to_string(config_.traffic.model),
                ErrorCode::SnapshotFormat,
                "Service::restore: traffic model mismatch");
-  require_code(snap.policy == to_string(agent_.policy().kind()),
+  // Compare parsed kinds, not names: a v2 snapshot may carry a legacy
+  // alias ("max-weight-incremental") of the running policy's kind.
+  PolicyKind snap_policy{};
+  try {
+    snap_policy = policy_kind_from_string(snap.policy);
+  } catch (const error& e) {
+    throw coded_error(ErrorCode::SnapshotFormat, e.what());
+  }
+  require_code(snap_policy == agent_.policy().kind(),
                ErrorCode::SnapshotFormat,
                "Service::restore: schedule policy mismatch");
   require_code(snap.departed_flags.size() == net_.size() &&

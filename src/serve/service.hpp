@@ -9,11 +9,10 @@
 //     the loop keeps serving from the last good schedule — marked stale —
 //     and retries with exponential backoff in slots.
 //   * Recomputes are delegated to a pluggable SchedulePolicy
-//     (serve/schedule_policy.hpp): from-scratch max-weight, incremental
-//     max-weight (bit-identical schedules, persistent kernel), or the AHM
-//     stability algorithm. Links that depart while a recompute is in
-//     flight are pruned from the result at adoption (stale-weight fix),
-//     counted per link in DropStats::stale_pruned.
+//     (serve/schedule_policy.hpp): priced max-weight or the AHM stability
+//     algorithm. Links that depart while a recompute is in flight are
+//     pruned from the result at adoption (stale-weight fix), counted per
+//     link in DropStats::stale_pruned.
 //   * Queues are bounded with explicit admission control. Every lost packet
 //     is counted in a DropStats bucket (capacity / shed / churn /
 //     quarantine); the conservation invariant

@@ -111,7 +111,7 @@ struct ServeSnapshot {
   std::vector<char> feedback_attempt;
   std::vector<char> feedback_success;
   /// History-dependent policy state (SchedulePolicy::persisted_state): the
-  /// AHM probability vector; empty for the max-weight policies. When a
+  /// AHM probability vector; empty for max-weight. When a
   /// recompute is in flight this is the *pre-submit* state, so restore can
   /// replay the resubmitted request onto it.
   std::vector<double> policy_state;

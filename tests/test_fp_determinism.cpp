@@ -11,8 +11,8 @@
 //  * the scalar log companion is bit-identical to the kernel's
 //    evaluate_log (same expressions, same iteration order — the contract
 //    documented in core/success_probability.hpp);
-//  * threaded evaluation through the pool executor is bit-identical to
-//    serial (chunking never changes per-element arithmetic);
+//  * goldens for the cached values after an update_link chain, over a
+//    sparse and a dense probability profile;
 //  * the underflow boundary: above it exp(log) agrees with the linear
 //    product at ulp scale, below it the linear product is exactly 0 while
 //    the log form stays finite (the RS-N4 escape hatch).
@@ -30,8 +30,6 @@
 #include "core/success_probability.hpp"
 #include "core/success_probability_batch.hpp"
 #include "model/network.hpp"
-#include "sim/batch_executor.hpp"
-#include "sim/thread_pool.hpp"
 #include "util/units.hpp"
 
 namespace raysched::core {
@@ -47,17 +45,18 @@ constexpr double kBeta = 1.5;
 /// Closed-form gain matrix: every entry is one exact literal or one IEEE
 /// division of small integers, so the network is bit-identical on every
 /// conforming platform without involving the RNG.
-model::Network golden_network() {
-  std::vector<double> gains(kLinks * kLinks);
-  for (std::size_t j = 0; j < kLinks; ++j) {
-    for (std::size_t i = 0; i < kLinks; ++i) {
-      gains[j * kLinks + i] =
-          j == i ? 8.0 + static_cast<double>(i)
-                 : 1.0 / (1.0 + static_cast<double>(3 * j + i));
+model::Network closed_form_network(std::size_t n) {
+  std::vector<double> gains(n * n);
+  for (std::size_t j = 0; j < n; ++j) {
+    for (std::size_t i = 0; i < n; ++i) {
+      gains[j * n + i] = j == i ? 8.0 + static_cast<double>(i)
+                                : 1.0 / (1.0 + static_cast<double>(3 * j + i));
     }
   }
-  return model::Network(kLinks, gains, units::Power(0.05));
+  return model::Network(n, gains, units::Power(0.05));
 }
+
+model::Network golden_network() { return closed_form_network(kLinks); }
 
 /// Probability profile with exact-zero entries (links 0 and 5), exercising
 /// the sentinel skip branches in every evaluator.
@@ -178,23 +177,89 @@ TEST(FpDeterminism, UpdateLinkRoundTripIsBitExact) {
   }
 }
 
-TEST(FpDeterminism, ThreadedEvaluationBitIdenticalToSerial) {
-  const model::Network net = golden_network();
-  const units::ProbabilityVector q = golden_q();
-  SuccessProbabilityKernel serial(net, units::Threshold(kBeta));
-  const std::vector<double> want = serial.evaluate(q);
-  const std::vector<double> want_log = serial.evaluate_log(q);
+// ---------------------------------------------------------------------------
+// update_link chain goldens. The product forest is refreshed along one
+// leaf-to-root path per update_link; these pin the cached values after a
+// chain of updates against bits captured before the kernel lost its
+// sparse (value-only) refresh. A sparse q (at most 32 nonzero entries) took
+// that path; a dense q took the eager forest walk. Both must keep every bit.
+// ---------------------------------------------------------------------------
 
-  sim::ThreadPool pool(4);
-  SuccessProbabilityKernel threaded(net, units::Threshold(kBeta),
-                                    sim::pool_batch_executor(pool, 1));
-  const std::vector<double> got = threaded.evaluate(q);
-  const std::vector<double> got_log = threaded.evaluate_log(q);
-  for (std::size_t i = 0; i < kLinks; ++i) {
-    EXPECT_EQ(bits(got[i]), bits(want[i])) << "threaded linear at " << i;
-    EXPECT_EQ(bits(got_log[i]), bits(want_log[i]))
-        << "threaded log at " << i;
+constexpr std::size_t kChainLinks = 40;
+
+void expect_chain_bits(const std::vector<double>& got,
+                       const std::uint64_t (&want)[kChainLinks]) {
+  ASSERT_EQ(got.size(), kChainLinks);
+  for (std::size_t i = 0; i < kChainLinks; ++i) {
+    EXPECT_EQ(bits(got[i]), want[i])
+        << "chain golden moved at link " << i << ": 0x" << std::hex
+        << bits(got[i]);
   }
+}
+
+constexpr std::uint64_t kGoldenSparseChain[kChainLinks] = {
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x3fe7c0781ad45747,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x3febd76ddb333fbc,
+    0x0000000000000000, 0x0000000000000000, 0x3fd7df4beff9a317,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x3fefe2a3b4d11485,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x0000000000000000,
+    0x0000000000000000, 0x0000000000000000, 0x3fefe93d0ac3f8a7,
+    0x0000000000000000};
+constexpr std::uint64_t kGoldenDenseChain[kChainLinks] = {
+    0x0000000000000000, 0x3fcd2b759a4f37c6, 0x3fd627778c69ef60,
+    0x3fddd7fb126ca3c8, 0x3fe2cec611c8b80d, 0x3fe6b9152a418f59,
+    0x3feaa8eb3e91cf01, 0x3fbe8552bfe2c51e, 0x3fe26a0cfecd9731,
+    0x3fd7156c985c32bb, 0x3fdee1424a1ef60e, 0x3fe35ae8450746a2,
+    0x3fe748b89f58185a, 0x3feb396ed6c05d4d, 0x3fbf243283163688,
+    0x3fcf32e1879b7ca1, 0x3fd770027e63ab93, 0x3fef4f4cd64e79bf,
+    0x3fe3960c06107af0, 0x3fe7881ac3b97c31, 0x3feb7bd192d9f6d7,
+    0x3fbf6cafb166bf64, 0x3fcf745f76e1c9b3, 0x3fd79c9224803336,
+    0x3fdf81ebf2a5eb10, 0x3fe3b4f26b8b8347, 0x3fe7aa1870076499,
+    0x3feba047376d28d7, 0x3fbf94c68393fa9e, 0x3fcf99622c803624,
+    0x3fd7b642a9b1e77e, 0x3fdfa1b1f28d2bc4, 0x3fe3c76863f8861f,
+    0x3fe7bebb2fe348ff, 0x3febb6bf49197022, 0x3fbfada331b0d53a,
+    0x3fcfb0a7451c4ec1, 0x3fd7c69f47a153e4, 0x3fdfb62df4eef372,
+    0x3fd3081b7c7babc0};
+
+TEST(FpDeterminism, SparseUpdateChainGoldenBits) {
+  std::vector<double> q(kChainLinks, 0.0);
+  q[3] = 0.25;
+  q[11] = 0.5;
+  q[17] = 0.875;
+  q[29] = 1.0;
+  q[38] = 0.125;
+  SuccessProbabilityKernel kernel(closed_form_network(kChainLinks),
+                                  units::Threshold(kBeta));
+  kernel.set_probabilities(units::probabilities(q));
+  kernel.update_link(5, units::Probability(0.75));
+  kernel.update_link(11, units::Probability(0.0));
+  kernel.update_link(38, units::Probability(1.0));
+  kernel.update_link(20, units::Probability(0.375));
+  kernel.update_link(3, units::Probability(0.0));
+  expect_chain_bits(kernel.success_probabilities(), kGoldenSparseChain);
+}
+
+TEST(FpDeterminism, DenseUpdateChainGoldenBits) {
+  std::vector<double> q(kChainLinks);
+  for (std::size_t i = 0; i < kChainLinks; ++i) {
+    q[i] = static_cast<double>(1 + i % 7) / 8.0;
+  }
+  SuccessProbabilityKernel kernel(closed_form_network(kChainLinks),
+                                  units::Threshold(kBeta));
+  kernel.set_probabilities(units::probabilities(q));
+  kernel.update_link(0, units::Probability(0.0));
+  kernel.update_link(17, units::Probability(1.0));
+  kernel.update_link(39, units::Probability(0.3));
+  kernel.update_link(8, units::Probability(0.0));
+  kernel.update_link(8, units::Probability(0.6));
+  expect_chain_bits(kernel.success_probabilities(), kGoldenDenseChain);
 }
 
 /// Saturated-interference network: every off-diagonal factor is ~1e-15, so

@@ -117,7 +117,7 @@ TEST(HotPathAllocs, SteadyStateSlotLoopRayleigh) {
   expect_zero_alloc_slots(core::Propagation::Rayleigh);
 }
 
-// The work of a max-weight-incremental recompute: the greedy oracle over
+// The work of a max-weight recompute: the greedy oracle over
 // the network's gains, then pricing the schedule it chose.
 TEST(HotPathAllocs, OracleComputeAndPricingAllocateNothing) {
   const model::Network net = paper_network(48, 13);

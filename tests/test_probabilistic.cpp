@@ -2,7 +2,10 @@
 // over transmission probability assignments).
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
+#include <string>
 
 #include "test_helpers.hpp"
 
@@ -149,6 +152,37 @@ TEST(CoordinateAscent, RayleighOptimumAtLeastNonFadingTransfer) {
   opts.restarts = 4;
   const auto opt = maximize_capacity_coordinate_ascent(net, beta, opts);
   EXPECT_GE(opt.value + 1e-9, transferred);
+}
+
+// Goldens for the incremental kernel's one remaining caller, captured
+// before the kernel lost its sparse refresh: the returned 0/1 profile (as a
+// bit string), the sweep count of the winning restart, and the bits of the
+// re-evaluated value. Restart 0 starts from q = 0, the old sparse regime.
+TEST(CoordinateAscent, GoldenOptimaAtThreeSizes) {
+  struct Golden {
+    std::size_t n;
+    const char* q;
+    std::size_t iterations;
+    std::uint64_t value_bits;
+  };
+  const Golden goldens[] = {
+      {15, "111111011111011", 14, 0x40255a61667db6a1},
+      {30, "111011111111011111111111111111", 29, 0x40330322647dc558},
+      {60, "111001011011011110101111010110111011011110101100100110011000", 38,
+       0x4037ff8d9ccae5bf},
+  };
+  for (const Golden& g : goldens) {
+    SCOPED_TRACE(::testing::Message() << "n=" << g.n);
+    auto net = paper_network(g.n, 40 + g.n);
+    const auto result = maximize_capacity_coordinate_ascent(net, 2.5);
+    std::string profile;
+    for (double v : result.q) profile += v == 1.0 ? '1' : '0';
+    EXPECT_EQ(profile, g.q);
+    EXPECT_EQ(result.iterations, g.iterations);
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(result.value), g.value_bits)
+        << "value 0x" << std::hex
+        << std::bit_cast<std::uint64_t>(result.value);
+  }
 }
 
 TEST(Probabilistic, ValidatesInput) {

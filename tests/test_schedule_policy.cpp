@@ -1,9 +1,9 @@
 // Tests for the pluggable schedule-recompute policies and their supporting
 // pieces: the WeightedGreedyOracle's bit-identity to a per-pair
-// affectance_raw reference greedy, the priced max-weight policy's
-// bit-identity to the unpriced one under churn (and its price to the scalar
-// Theorem-1 aggregate), the AHM probability state machine, and the
-// saturating slot arithmetic the agent's deadline math runs on.
+// affectance_raw reference greedy, the max-weight policy's schedules (equal
+// to the free weighted greedy under churn) and their price (bit-identical
+// to the scalar Theorem-1 aggregate), the AHM probability state machine,
+// and the saturating slot arithmetic the agent's deadline math runs on.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -215,21 +215,23 @@ TEST(WeightedGreedyOracle, ValidatesInput) {
 // ---- policy construction --------------------------------------------------
 
 TEST(SchedulePolicy, KindNamesRoundTrip) {
-  for (PolicyKind kind : {PolicyKind::MaxWeight,
-                          PolicyKind::MaxWeightIncremental, PolicyKind::Ahm}) {
+  for (PolicyKind kind : {PolicyKind::MaxWeight, PolicyKind::Ahm}) {
     EXPECT_EQ(policy_kind_from_string(to_string(kind)), kind);
   }
+  // The pre-merge name of the priced policy still parses, to the one
+  // max-weight kind, and the enumerator rsbench names is the same value.
+  EXPECT_EQ(policy_kind_from_string("max-weight-incremental"),
+            PolicyKind::MaxWeight);
+  static_assert(PolicyKind::MaxWeightIncremental == PolicyKind::MaxWeight);
   EXPECT_THROW(policy_kind_from_string("round-robin"), raysched::error);
 }
 
-// ---- incremental max-weight vs from-scratch -------------------------------
+// ---- max-weight under churn ----------------------------------------------
 
-TEST(SchedulePolicy, IncrementalMatchesFromScratchUnderChurn) {
+TEST(SchedulePolicy, MaxWeightMatchesFreeGreedyAndPricesUnderChurn) {
   auto net = paper_network(20, 53);
   const units::Threshold beta(2.5);
-  auto scratch = make_schedule_policy(PolicyKind::MaxWeight, net, beta);
-  auto incremental =
-      make_schedule_policy(PolicyKind::MaxWeightIncremental, net, beta);
+  auto policy = make_schedule_policy(PolicyKind::MaxWeight, net, beta);
 
   util::RngStream rng(61);
   std::vector<char> active(net.size(), 1);
@@ -249,17 +251,17 @@ TEST(SchedulePolicy, IncrementalMatchesFromScratchUnderChurn) {
     for (LinkId i = 0; i < net.size(); ++i) {
       if (active[i] != 0) request.weights[i] = rng.uniform() * 50.0;
     }
-    const PolicyResult a = scratch->compute(request);
-    const PolicyResult b = incremental->compute(request);
-    EXPECT_EQ(a.schedule, b.schedule) << "slot " << slot;
-    EXPECT_EQ(a.expected_rate, 0.0);  // the unpriced policy
-    // The incremental policy prices its schedule: positive whenever
-    // anything is scheduled, bounded by the schedule size.
-    if (!b.schedule.empty()) {
-      EXPECT_GT(b.expected_rate, 0.0) << "slot " << slot;
-      EXPECT_LE(b.expected_rate, static_cast<double>(b.schedule.size()));
-    } else {
-      EXPECT_EQ(b.expected_rate, 0.0);
+    const PolicyResult r = policy->compute(request);
+    EXPECT_EQ(r.schedule,
+              algorithms::weighted_greedy_capacity(net, beta.value(),
+                                                   request.weights)
+                  .selected)
+        << "slot " << slot;
+    EXPECT_EQ(r.expected_rate,
+              model::expected_successes_rayleigh(net, r.schedule, beta))
+        << "slot " << slot;
+    if (!r.schedule.empty()) {
+      EXPECT_GT(r.expected_rate, 0.0) << "slot " << slot;
     }
   }
 }
@@ -268,7 +270,7 @@ TEST(SchedulePolicy, ExpectedRateIsTheScalarPriceBitwise) {
   auto net = paper_network(20, 57);
   const units::Threshold beta(2.5);
   auto fresh =
-      make_schedule_policy(PolicyKind::MaxWeightIncremental, net, beta);
+      make_schedule_policy(PolicyKind::MaxWeight, net, beta);
   util::RngStream rng(73);
   LinkSet adopted;
   for (std::uint64_t slot = 0; slot < 8; ++slot) {
@@ -283,7 +285,7 @@ TEST(SchedulePolicy, ExpectedRateIsTheScalarPriceBitwise) {
   }
 
   auto restored =
-      make_schedule_policy(PolicyKind::MaxWeightIncremental, net, beta);
+      make_schedule_policy(PolicyKind::MaxWeight, net, beta);
   restored->restore_state({}, adopted);
   ScheduleRequest next;
   next.slot = 8;
@@ -299,7 +301,7 @@ TEST(SchedulePolicy, ExpectedRateIsTheScalarPriceBitwise) {
 TEST(SchedulePolicy, IncrementalRestoreRebuildsDeterministically) {
   auto net = paper_network(12, 54);
   const units::Threshold beta(2.0);
-  auto a = make_schedule_policy(PolicyKind::MaxWeightIncremental, net, beta);
+  auto a = make_schedule_policy(PolicyKind::MaxWeight, net, beta);
 
   util::RngStream rng(71);
   ScheduleRequest request;
@@ -310,7 +312,7 @@ TEST(SchedulePolicy, IncrementalRestoreRebuildsDeterministically) {
 
   // A fresh policy restored from (empty state, adopted schedule) must
   // produce the same schedule for every subsequent request.
-  auto b = make_schedule_policy(PolicyKind::MaxWeightIncremental, net, beta);
+  auto b = make_schedule_policy(PolicyKind::MaxWeight, net, beta);
   b->restore_state({}, adopted.schedule);
   for (std::uint64_t slot = 1; slot < 10; ++slot) {
     ScheduleRequest next;

@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
 #include <limits>
 #include <string>
 #include <vector>
@@ -309,44 +310,47 @@ TEST(ServeFaults, RayleighServiceIsDeterministicToo) {
   EXPECT_GT(ra.served, 0u);
 }
 
-TEST(ServeFaults, MaxWeightPoliciesServeBitIdenticalTrajectories) {
-  // The incremental policy replays the from-scratch comparator over cached
-  // affectance, so the two max-weight variants must adopt byte-identical
-  // schedules — and therefore serve byte-identical trajectories — through
-  // the full fault gauntlet (delay, poison, churn burst).
+TEST(ServeFaults, MaxWeightFaultGauntletMatchesGolden) {
+  // The max-weight trajectory through the full fault gauntlet (delay,
+  // poison, churn burst), pinned to the hash and served count captured
+  // when the priced and the unpriced max-weight were still two policies.
   ServeConfig config = base_config();
   config.faults = FaultScript::parse(kFaultSpec);
   config.policy = PolicyKind::MaxWeight;
-  Service scratch(serve_network(), config);
-  const ServeReport rs = scratch.run(400);
-  config.policy = PolicyKind::MaxWeightIncremental;
-  Service incremental(serve_network(), config);
-  const ServeReport ri = incremental.run(400);
-  EXPECT_EQ(ri.trajectory_hash, rs.trajectory_hash);
-  EXPECT_EQ(ri.served, rs.served);
-  EXPECT_EQ(ri.arrivals, rs.arrivals);
-  EXPECT_EQ(ri.drops.total(), rs.drops.total());
-  expect_same_digests(ri.digests, rs.digests);
-  EXPECT_TRUE(ri.conservation_ok);
-  // Only the incremental policy carries the kernel diagnostic; the
-  // from-scratch policy reports none. The diagnostic never enters the
-  // digests, so the hashes above still match.
-  EXPECT_GT(ri.expected_rate, 0.0);
-  EXPECT_EQ(rs.expected_rate, 0.0);
+  Service service(serve_network(), config);
+  const ServeReport report = service.run(400);
+  EXPECT_EQ(report.trajectory_hash, 0xdcb15a5dc3e995bcu)
+      << std::hex << report.trajectory_hash;
+  EXPECT_EQ(report.served, 1464u);
+  EXPECT_TRUE(report.conservation_ok);
+}
+
+/// Copies the snapshot at `from` to `to` with its policy line replaced.
+void rewrite_snapshot_policy(const std::string& from, const std::string& to,
+                             const std::string& policy) {
+  std::ifstream in(from);
+  std::ofstream out(to);
+  std::string line;
+  while (std::getline(in, line)) {
+    out << (line.rfind("policy ", 0) == 0 ? "policy " + policy : line)
+        << "\n";
+  }
 }
 
 TEST(ServeFaults, IncrementalKillRestoreReplaysBitIdentically) {
-  // The kill/restore scenario again, with the incremental policy holding
-  // live kernel state across the crash — at every agent thread count. The
-  // restore rebuilds the kernel from the adopted schedule and replays the
-  // resubmitted request, so the trajectory must stay byte-identical.
+  // The kill/restore scenario again for max-weight, at every agent thread
+  // count, restoring from a snapshot whose policy line carries the legacy
+  // name "max-weight-incremental" (what a v2 snapshot written before the
+  // two max-weight policies merged says). The restore compares parsed
+  // kinds, so the trajectory must stay byte-identical.
   const std::string path =
       ::testing::TempDir() + "raysched_serve_inc_kill_restore.snap";
+  const std::string legacy_path = path + ".legacy";
   for (std::size_t threads : {std::size_t{1}, std::size_t{4}}) {
     SCOPED_TRACE(::testing::Message() << "threads=" << threads);
     ServeConfig clean = base_config();
     clean.faults = FaultScript::parse(kFaultSpec);
-    clean.policy = PolicyKind::MaxWeightIncremental;
+    clean.policy = PolicyKind::MaxWeight;
     clean.agent_threads = threads;
 
     Service a(serve_network(), clean);
@@ -362,12 +366,13 @@ TEST(ServeFaults, IncrementalKillRestoreReplaysBitIdentically) {
     const ServeReport until_crash = b.run(420);
     ASSERT_TRUE(until_crash.crashed);
 
-    const ServeSnapshot snap = load_snapshot(path);
+    ASSERT_EQ(load_snapshot(path).policy, "max-weight");
+    rewrite_snapshot_policy(path, legacy_path, "max-weight-incremental");
+    const ServeSnapshot snap = load_snapshot(legacy_path);
     ASSERT_EQ(snap.next_slot, 298u);
     ASSERT_TRUE(snap.recompute.in_flight);
     EXPECT_EQ(snap.policy, "max-weight-incremental");
-    // Incremental persisted state is empty by design: the kernel rebuilds
-    // deterministically from the adopted schedule on restore.
+    // Max-weight persists no state: each request is priced from scratch.
     EXPECT_TRUE(snap.policy_state.empty());
     Service c(serve_network(), clean);
     c.restore(snap);
@@ -382,6 +387,24 @@ TEST(ServeFaults, IncrementalKillRestoreReplaysBitIdentically) {
     EXPECT_TRUE(replay.conservation_ok);
   }
   std::remove(path.c_str());
+  std::remove(legacy_path.c_str());
+}
+
+TEST(ServeFaults, RestoreRefusesUnknownPolicyName) {
+  // A policy name that does not parse is a snapshot-format error, coded
+  // like every other fingerprint refusal.
+  ServeConfig config = base_config();
+  Service a(serve_network(), config);
+  (void)a.run(20);
+  ServeSnapshot snap = a.snapshot();
+  snap.policy = "round-robin";
+  Service b(serve_network(), config);
+  try {
+    b.restore(snap);
+    FAIL() << "unknown policy accepted";
+  } catch (const coded_error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::SnapshotFormat);
+  }
 }
 
 TEST(ServeFaults, AhmKillRestoreReplaysBitIdentically) {

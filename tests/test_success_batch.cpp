@@ -19,7 +19,6 @@
 #include <limits>
 #include <vector>
 
-#include "sim/batch_executor.hpp"
 #include "test_helpers.hpp"
 
 namespace raysched::core {
@@ -334,85 +333,6 @@ TEST(SuccessBatchIncremental, GuardsItsPreconditions) {
   EXPECT_THROW(kernel.update_link(9, units::Probability(0.5)),
                raysched::error);  // id out of range
   EXPECT_THROW(kernel.success_probability(9), raysched::error);
-}
-
-// ---------------------------------------------------------------------------
-// Lifecycle: reset and re-seeding, pinned bit-for-bit against from-scratch
-// set_probabilities.
-// ---------------------------------------------------------------------------
-
-TEST(SuccessBatchLifecycle, ResetDropsStateAndAllowsReseeding) {
-  auto net = paper_network(8, 46);
-  const units::Threshold beta(2.5);
-  SuccessProbabilityKernel kernel(net, beta);
-  kernel.set_probabilities(units::probabilities(random_profile(8, 3)));
-  ASSERT_TRUE(kernel.has_state());
-
-  kernel.reset();
-  EXPECT_FALSE(kernel.has_state());
-  EXPECT_THROW(kernel.success_probabilities(), raysched::error);
-  EXPECT_THROW(kernel.update_link(0, units::Probability(0.5)),
-               raysched::error);
-
-  // Re-seeding after reset is bit-identical to a virgin kernel.
-  const auto q2 = units::probabilities(random_profile(8, 4));
-  kernel.set_probabilities(q2);
-  SuccessProbabilityKernel fresh(net, beta);
-  fresh.set_probabilities(q2);
-  for (LinkId i = 0; i < 8; ++i) {
-    EXPECT_EQ(kernel.success_probabilities()[i],
-              fresh.success_probabilities()[i]);
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Executor injection: parallel chunking must not change a single bit.
-// ---------------------------------------------------------------------------
-
-TEST(SuccessBatchExecutor, PoolChunkingIsBitwiseIdenticalToSerial) {
-  auto net = paper_network(41, 17);
-  const units::Threshold beta(2.5);
-  const auto q = units::probabilities(random_profile(41, 0xF00D));
-
-  SuccessProbabilityKernel serial(net, beta);
-  // min_chunk 1 forces maximal chunking so boundaries land everywhere.
-  sim::ThreadPool pool(4);
-  SuccessProbabilityKernel pooled(net, beta,
-                                  sim::pool_batch_executor(pool, 1));
-
-  const std::vector<double> a = serial.evaluate(q);
-  const std::vector<double> b = pooled.evaluate(q);
-  for (LinkId i = 0; i < 41; ++i) EXPECT_EQ(a[i], b[i]) << "link " << i;
-
-  serial.set_probabilities(q);
-  pooled.set_probabilities(q);
-  util::RngStream rng(7);
-  for (int step = 0; step < 10; ++step) {
-    const auto id = static_cast<LinkId>(rng.uniform_index(41));
-    const units::Probability v(rng.uniform());
-    serial.update_link(id, v);
-    pooled.update_link(id, v);
-  }
-  for (LinkId i = 0; i < 41; ++i) {
-    EXPECT_EQ(serial.success_probabilities()[i],
-              pooled.success_probabilities()[i])
-        << "link " << i;
-  }
-  EXPECT_EQ(serial.expected_successes(), pooled.expected_successes());
-
-  const auto exec = sim::pool_batch_executor(pool, 1);
-  const std::vector<double> plain =
-      batch_rayleigh_success_probabilities(net, q, beta);
-  const std::vector<double> fanned =
-      batch_rayleigh_success_probabilities(net, q, beta, exec);
-  for (LinkId i = 0; i < 41; ++i) EXPECT_EQ(plain[i], fanned[i]);
-  EXPECT_EQ(batch_expected_rayleigh_successes(net, q, beta),
-            batch_expected_rayleigh_successes(net, q, beta, exec));
-  // The serial active-set sum runs in place; the fanned one sums a buffer.
-  model::LinkSet active;
-  for (LinkId i = 0; i < 41; i += 2) active.push_back(i);
-  EXPECT_EQ(batch_expected_successes_active(net, active, beta),
-            batch_expected_successes_active(net, active, beta, exec));
 }
 
 }  // namespace

@@ -41,8 +41,7 @@ int run_serve(int argc, char** argv) {
   flags.add_int("recompute-latency", 2, "nominal recompute service slots");
   flags.add_int("recompute-deadline", 6, "slots before a recompute times out");
   flags.add_int("threads", 1, "schedule-agent pool threads (1 = inline)");
-  flags.add_string("policy", "max-weight",
-                   "max-weight|max-weight-incremental|ahm");
+  flags.add_string("policy", "max-weight", "max-weight|ahm");
   flags.add_int("overload-enter", 4096, "backlog entering Overloaded");
   flags.add_int("overload-exit", 1024, "backlog leaving Overloaded");
   flags.add_string("faults", "", "fault script, e.g. '120:delay:10,900:crash'");
