@@ -50,7 +50,9 @@ run_preset() {
   # operator new forwards to malloc (which the sanitizers intercept), so
   # it proves the zero-alloc slot loop *and* that the counting hook
   # itself is sanitizer-clean.
-  local filter='FaultInjection|Engine|ThreadPool|Checkpoint|NetworkIo|cli_sweep|SuccessBatch|ServeSnapshot|ServeFaults|HotPathAllocs'
+  # RayleighSuccess pins the up-front id validation that keeps the
+  # Rayleigh kernels from reading the gain matrix out of bounds.
+  local filter='FaultInjection|Engine|ThreadPool|Checkpoint|NetworkIo|cli_sweep|SuccessBatch|ServeSnapshot|ServeFaults|HotPathAllocs|RayleighSuccess'
   if [ "$preset" = "thread" ]; then
     # TSan cares about the concurrent paths only; add the parallel_for and
     # stress suites (the serve agent hands results across pool threads),
@@ -59,7 +61,9 @@ run_preset() {
   elif [ "$preset" = "undefined" ]; then
     # UBSan+float mode is cheap enough to sweep the numeric core, where a
     # division by a zero gain or an overflowing dB cast would hide.
-    filter='Units|Theorem1|Lemma1|ExpectedSuccesses|NonFading|Latency|Simulation|Transfer|Nakagami|Shadowing|NetworkIo|Affectance|SuccessBatch'
+    # RayleighSuccess covers the threshold kernel, which bit-casts in
+    # util::neg_log and compares against products of an approximate sum.
+    filter='Units|Theorem1|Lemma1|ExpectedSuccesses|NonFading|Latency|Simulation|Transfer|Nakagami|Shadowing|NetworkIo|Affectance|SuccessBatch|RayleighSuccess'
   fi
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" -R "$filter"
   echo "sanitize: ${preset}: all selected tests passed"

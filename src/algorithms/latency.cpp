@@ -17,18 +17,17 @@ using model::Network;
 namespace {
 
 /// Evaluates which members of `active` succeed in one slot.
-std::vector<bool> slot_successes(const Network& net, const LinkSet& active,
+std::vector<char> slot_successes(const Network& net, const LinkSet& active,
                                  double beta, Propagation propagation,
                                  util::RngStream& rng) {
-  std::vector<bool> ok(active.size(), false);
+  std::vector<char> ok(active.size(), 0);
   if (active.empty()) return ok;
   if (propagation == Propagation::NonFading) {
     for (std::size_t a = 0; a < active.size(); ++a) {
-      ok[a] = model::sinr_nonfading(net, active, active[a]) >= beta;
+      ok[a] = model::sinr_nonfading(net, active, active[a]) >= beta ? 1 : 0;
     }
   } else {
-    const std::vector<double> sinrs = model::sinr_rayleigh_all(net, active, rng);
-    for (std::size_t a = 0; a < active.size(); ++a) ok[a] = sinrs[a] >= beta;
+    model::rayleigh_successes(net, active, units::Threshold(beta), rng, ok);
   }
   return ok;
 }
@@ -78,7 +77,7 @@ LatencyResult repeated_capacity_schedule(
       }
       slot = {best};
     }
-    const std::vector<bool> ok =
+    const std::vector<char> ok =
         slot_successes(net, slot, beta, propagation, rng);
     for (std::size_t a = 0; a < slot.size(); ++a) {
       if (ok[a] && !done[slot[a]]) {
@@ -126,7 +125,7 @@ LatencyResult aloha_schedule(const Network& net, double beta,
     }
     std::vector<bool> succeeded(active.size(), false);
     for (int r = 0; r < repeats && result.slots < max_slots; ++r) {
-      const std::vector<bool> ok =
+      const std::vector<char> ok =
           slot_successes(net, active, beta, propagation, rng);
       for (std::size_t a = 0; a < active.size(); ++a) {
         if (ok[a] && !succeeded[a]) {

@@ -30,6 +30,7 @@ MultihopResult schedule_multihop(const Network& net,
   result.completion_slot.assign(requests.size(), 0);
   std::vector<std::size_t> progress(requests.size(), 0);  // next hop index
   std::size_t incomplete = requests.size();
+  std::vector<char> won;  // Rayleigh decisions of the slot's set
 
   const int repeats =
       propagation == Propagation::Rayleigh ? core::kLatencyRepeats : 1;
@@ -54,10 +55,10 @@ MultihopResult schedule_multihop(const Network& net,
           if (model::sinr_nonfading(net, slot, i) >= beta) delivered[i] = true;
         }
       } else {
-        const std::vector<double> sinrs =
-            model::sinr_rayleigh_all(net, slot, rng);
+        model::rayleigh_successes(net, slot, units::Threshold(beta), rng,
+                                  won);
         for (std::size_t a = 0; a < slot.size(); ++a) {
-          if (sinrs[a] >= beta) delivered[slot[a]] = true;
+          if (won[a] != 0) delivered[slot[a]] = true;
         }
       }
       ++result.slots;

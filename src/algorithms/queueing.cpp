@@ -27,6 +27,7 @@ QueueSimResult run_max_weight_queueing(const Network& net,
   const std::size_t n = net.size();
   std::vector<std::size_t> queue(n, 0);
   std::vector<double> weights(n, 0.0);
+  std::vector<char> won;  // Rayleigh decisions of the served set
   QueueSimResult result;
   double total_backlog = 0.0;
   std::size_t total_served = 0, total_arrivals = 0;
@@ -65,10 +66,9 @@ QueueSimResult run_max_weight_queueing(const Network& net,
           }
         }
       } else {
-        const std::vector<double> sinrs =
-            model::sinr_rayleigh_all(net, serve, rng);
+        model::rayleigh_successes(net, serve, options.beta, rng, won);
         for (std::size_t a = 0; a < serve.size(); ++a) {
-          if (sinrs[a] >= beta && queue[serve[a]] > 0) {
+          if (won[a] != 0 && queue[serve[a]] > 0) {
             --queue[serve[a]];
             ++total_served;
           }

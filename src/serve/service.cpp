@@ -362,10 +362,11 @@ std::uint64_t Service::serve_slot(std::uint64_t slot) {
     }
     if (!live.empty()) {
       util::RngStream rng = master_.derive(kFadingTag, slot);
-      model::sinr_rayleigh_all(net_, live, rng, sinr_scratch_);
+      model::rayleigh_successes(net_, live, config_.beta, rng,
+                                success_scratch_);
       for (std::size_t a = 0; a < live.size(); ++a) {
         feedback_attempt_[live[a]] = 1;
-        if (sinr_scratch_[a] >= config_.beta.value()) {
+        if (success_scratch_[a] != 0) {
           feedback_success_[live[a]] = 1;
           --queue_[live[a]];
           ++served;

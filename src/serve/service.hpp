@@ -265,7 +265,8 @@ class Service {
   std::vector<FaultEvent> slot_events_;             // fault events, per slot
   std::vector<std::uint32_t> arrivals_scratch_;     // per-link arrivals
   model::LinkSet live_scratch_;                     // servable schedule subset
-  std::vector<double> sinr_scratch_;                // Rayleigh realizations
+  std::vector<double> sinr_scratch_;                // non-fading SINRs
+  std::vector<char> success_scratch_;               // Rayleigh decisions
   std::vector<model::LinkId> churn_scratch_;        // burst victim candidates
 };
 

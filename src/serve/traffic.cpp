@@ -25,11 +25,11 @@ TrafficModel traffic_model_from_string(const std::string& name) {
 
 namespace {
 
-/// Knuth inversion: exact Poisson(mean) count. mean is small (per-slot
-/// per-link load), so the expected draw count e^mean stays tiny.
-std::uint32_t poisson_draw(util::RngStream& rng, double mean) {
-  if (mean <= 0.0) return 0;
-  const double limit = std::exp(-mean);
+/// Knuth inversion: exact Poisson(mean) count, given limit = e^-mean with
+/// mean > 0 (the caller computes it once per slot, not once per link).
+/// mean is small (per-slot per-link load), so the expected draw count
+/// e^mean stays tiny.
+std::uint32_t poisson_draw(util::RngStream& rng, double limit) {
   double product = rng.uniform();
   std::uint32_t count = 0;
   while (product > limit) {
@@ -85,12 +85,16 @@ void TrafficGenerator::arrivals(util::RngStream& slot_rng,
           "TrafficGenerator::arrivals: active mask size must equal n");
   out.assign(n_, 0);
   switch (config_.model) {
-    case TrafficModel::Poisson:
+    case TrafficModel::Poisson: {
+      // A zero rate consumes no randomness on any link.
+      if (config_.mean_rate <= 0.0) break;
+      const double limit = std::exp(-config_.mean_rate);
       for (std::size_t i = 0; i < n_; ++i) {
         if (active[i] == 0) continue;
-        out[i] = poisson_draw(slot_rng, config_.mean_rate);
+        out[i] = poisson_draw(slot_rng, limit);
       }
       break;
+    }
     case TrafficModel::Bursty:
       for (std::size_t i = 0; i < n_; ++i) {
         if (active[i] == 0) continue;

@@ -1,8 +1,9 @@
 // Runtime pin for the hot-path memory discipline that tools/raysched_mem
 // checks lexically: after warm-up, the steady-state serving slot loop, the
 // max-weight recompute (oracle compute plus Theorem-1 pricing), the
-// kernel's incremental update_link, and the out-buffer sinr_rayleigh_all
-// perform ZERO heap allocations. The counting operator new below is
+// kernel's incremental update_link, the out-buffer sinr_rayleigh_all and
+// rayleigh_successes, and count_successes_rayleigh perform ZERO heap
+// allocations. The counting operator new below is
 // program-wide for this binary but purely passive (it forwards to malloc
 // and only bumps an atomic), so coexisting tests are unaffected; ctest
 // runs each test in its own process, so the counter sees only this file's
@@ -179,6 +180,46 @@ TEST(HotPathAllocs, SinrOutBufferReusesCapacity) {
   EXPECT_EQ(alloc_count(), base)
       << "out-buffer sinr_rayleigh_all allocated after warm-up";
   EXPECT_EQ(out.size(), active.size());
+}
+
+TEST(HotPathAllocs, RayleighSuccessesReusesCapacity) {
+  const model::Network net = paper_network(16, 9);
+  util::RngStream rng(124);
+  model::LinkSet active;
+  for (model::LinkId i = 0; i < 12; ++i) active.push_back(i);
+
+  std::vector<char> ok;
+  (void)model::rayleigh_successes(net, active, units::Threshold(1.0), rng,
+                                  ok);  // warm: one allocation
+
+  const std::uint64_t base = alloc_count();
+  std::size_t wins = 0;
+  for (int i = 0; i < 100; ++i) {
+    wins += model::rayleigh_successes(net, active, units::Threshold(1.0), rng,
+                                      ok);
+  }
+  EXPECT_EQ(alloc_count(), base)
+      << "out-buffer rayleigh_successes allocated after warm-up";
+  EXPECT_EQ(ok.size(), active.size());
+  EXPECT_GT(wins, 0u);
+}
+
+// count_successes_rayleigh decides without materializing the realization:
+// no allocation on any call, the first included.
+TEST(HotPathAllocs, CountSuccessesRayleighAllocatesNothing) {
+  const model::Network net = paper_network(16, 9);
+  util::RngStream rng(125);
+  model::LinkSet active;
+  for (model::LinkId i = 0; i < 12; ++i) active.push_back(i);
+
+  const std::uint64_t base = alloc_count();
+  std::size_t wins = 0;
+  for (int i = 0; i < 100; ++i) {
+    wins += model::count_successes_rayleigh(net, active,
+                                            units::Threshold(1.0), rng);
+  }
+  EXPECT_EQ(alloc_count(), base) << "count_successes_rayleigh allocated";
+  EXPECT_GT(wins, 0u);
 }
 
 // The out-buffer overload must stay bit-identical to the returning form:
