@@ -1,4 +1,4 @@
-// P8: engine-sweep performance harness (ROADMAP item 5). Times the
+// P8: engine-sweep performance harness (perf regression gates). Times the
 // Monte-Carlo experiment engine (sim::run_experiment) end to end — instance
 // generation, per-cell trial evaluation, fault bookkeeping, and the
 // deterministic network-index-order reduction — at a configurable

@@ -1,5 +1,5 @@
 # raysched: floating-point determinism hardening (the build-side companion
-# of tools/raysched_num).
+# of the RS-N rules in tools/raysched_check).
 #
 # The Theorem-1 numerics are pinned bit-for-bit: the batched, incremental,
 # and log-space evaluators must reproduce the scalar reference exactly, and

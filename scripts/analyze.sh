@@ -7,19 +7,15 @@
 # Gates, in run order:
 #   format   scripts/format.sh --check        (clang-format drift)
 #   tidy     scripts/tidy.sh                  (clang-tidy wall)
-#   lint     tools/raysched_lint              (RS-L determinism/thread/header)
-#   arch     tools/raysched_arch              (RS-A include-DAG layering)
-#   flow     tools/raysched_flow              (RS-D determinism dataflow)
-#   num      tools/raysched_num               (RS-N numerical safety)
-#   mem      tools/raysched_mem               (RS-M hot-path memory discipline)
+#   check    tools/raysched_check             (every RS-* rule, one pass)
 #
 # Gates whose external tool is missing (clang-format / clang-tidy on a
 # minimal container) report SKIP and do not fail the run — CI still
 # enforces them — but any FAIL exits nonzero.
 #
 # Usage: scripts/analyze.sh [--fast]
-#   --fast  skip the two clang-based gates (format, tidy); the five
-#           python analyzers run in a few seconds and need no toolchain.
+#   --fast  skip the two clang-based gates (format, tidy); the
+#           python gate runs in about a second and needs no toolchain.
 set -u
 cd "$(dirname "$0")/.."
 
@@ -72,11 +68,7 @@ else
   record tidy "SKIP"
 fi
 
-run_gate lint python3 tools/raysched_lint --root .
-run_gate arch python3 tools/raysched_arch --root .
-run_gate flow python3 tools/raysched_flow --root .
-run_gate num  python3 tools/raysched_num  --root .
-run_gate mem  python3 tools/raysched_mem  --root .
+run_gate check python3 tools/raysched_check --root .
 
 echo
 echo "analyze: summary"

@@ -3,9 +3,9 @@
 
 Compares a candidate bench run against a baseline (typically the committed
 BENCH_N.json) and exits nonzero when any compared counter regressed by
-more than the tolerance. This is the ratchet for ROADMAP item 5 ("perf
-regression gates"): CI runs the reduced perf sweep, then holds the fresh
-numbers against the committed artifact.
+more than the tolerance. This is the perf-regression ratchet: CI runs
+the reduced perf sweep, then holds the fresh numbers against the
+committed artifact.
 
 Counter flattening: each entry of the top-level "sizes" array becomes
 "n<n>.<counter>" (e.g. "n256.speedup_batched"); entries that also carry a

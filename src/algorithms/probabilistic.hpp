@@ -51,7 +51,7 @@ struct GradientAscentOptions {
 /// the start point by value on purpose: the optimizer mutates it in place
 /// and moves it into the result.
 [[nodiscard]] ProbabilityOptResult maximize_capacity_gradient_ascent(
-    const model::Network& net, double beta, std::vector<double> q_start,  // raysched-mem: allow(RS-M2): sink parameter, mutated and moved into the result
+    const model::Network& net, double beta, std::vector<double> q_start,  // raysched-check: allow(RS-M2): sink parameter, mutated and moved into the result
     const GradientAscentOptions& options = {});
 
 struct CoordinateAscentOptions {

@@ -67,7 +67,7 @@ double expected_cover_time(const units::ProbabilityVector& p) {
     for (std::size_t i = 0; i < p.size(); ++i) {
       // Underflow of this product to exact 0 is the correct limit (the
       // tail term saturates at 1); no log-space path is needed.
-      all_done *= 1.0 - fail_pow[i];  // raysched-num: allow(RS-N4)
+      all_done *= 1.0 - fail_pow[i];  // raysched-check: allow(RS-N4)
     }
     const double tail = 1.0 - all_done;
     expectation += tail;
@@ -97,7 +97,7 @@ units::ProbabilityVector step_success_probabilities(
     // kLatencyRepeats is a small fixed constant; the product cannot
     // underflow and its exact-0 limit would be correct anyway.
     for (int r = 0; r < kLatencyRepeats; ++r)
-      fail *= 1.0 - conditional;  // raysched-num: allow(RS-N4)
+      fail *= 1.0 - conditional;
     const double step = qv * (1.0 - fail);
     RAYSCHED_ENSURE(step >= 0.0 && step <= qv,
                     "macro-step success probability must lie in [0, q]");

@@ -79,7 +79,7 @@ double exact_aloha_expected_macro_steps(const Network& net,
         if (!(mask & (1u << i))) continue;
         // Bounded enumeration (n <= kMaxExactLinks): the subset product
         // cannot meaningfully underflow and exact 0 is its correct limit.
-        pa *= (a & (1u << i)) ? q : 1.0 - q;  // raysched-num: allow(RS-N4)
+        pa *= (a & (1u << i)) ? q : 1.0 - q;  // raysched-check: allow(RS-N4)
       }
       if (pa > 0.0) {
         if (a == 0) {
@@ -93,7 +93,7 @@ double exact_aloha_expected_macro_steps(const Network& net,
               if (!(a & (1u << i))) continue;
               const double si = success[a][i];
               // Same bounded-enumeration argument as the pa product.
-              ps *= (s & (1u << i))  // raysched-num: allow(RS-N4)
+              ps *= (s & (1u << i))
                         ? si
                         : 1.0 - si;
             }

@@ -23,7 +23,7 @@
 //    pinned regression values are preserved to the last bit.
 //
 // Layering: the kernel lives in core and must not include learning/ or sim/
-// (raysched_arch RS-A1). Every entry point runs serially on the calling
+// (raysched_check RS-A1). Every entry point runs serially on the calling
 // thread; callers that want parallelism split work above this layer.
 #pragma once
 

@@ -56,7 +56,7 @@ class FaultScript {
   /// in place and moves them into events_. Throws
   /// raysched::coded_error{Precondition} on out-of-domain args or a
   /// duplicate (slot, kind) pair.
-  explicit FaultScript(std::vector<FaultEvent> events,  // raysched-mem: allow(RS-M2): sink parameter, sorted in place and moved into events_
+  explicit FaultScript(std::vector<FaultEvent> events,  // raysched-check: allow(RS-M2): sink parameter, sorted in place and moved into events_
                        std::uint64_t period = 0);
 
   /// Parses "slot:kind[:arg]" items separated by commas, e.g.

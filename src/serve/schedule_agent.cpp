@@ -40,7 +40,7 @@ void ScheduleAgent::submit(std::uint64_t slot, ScheduleRequest request,
   }
   // The task computes entirely on its own copy of the request and publishes
   // the finished result under mutex_ in one step — no shared state is
-  // touched mid-computation (raysched_flow RS-D3: executor bodies must not
+  // touched mid-computation (raysched_check RS-D3: executor bodies must not
   // write captured shared state outside a synchronized publish). The policy
   // object is the one sanctioned exception: it is task-confined by the
   // one-in-flight protocol (reap() joins the pool before any other access).

@@ -95,7 +95,7 @@ class ScheduleAgent {
 
   /// Weights-only convenience form (tests, simple drivers): wraps the
   /// weights in a request with no churn or feedback payload.
-  void submit(std::uint64_t slot, std::vector<double> weights,  // raysched-mem: allow(RS-M2): sink parameter, moved into the request
+  void submit(std::uint64_t slot, std::vector<double> weights,  // raysched-check: allow(RS-M2): sink parameter, moved into the request
               std::uint64_t latency_slots);
 
   /// Blocks until the in-flight recompute finished and returns its outcome

@@ -168,7 +168,7 @@ class Service {
  public:
   /// Takes the network by value; validates the configuration. Throws
   /// raysched::error on out-of-domain parameters.
-  Service(model::Network net, const ServeConfig& config);  // raysched-mem: allow(RS-M2): sink parameter, moved into net_
+  Service(model::Network net, const ServeConfig& config);  // raysched-check: allow(RS-M2): sink parameter, moved into net_
   Service(const Service&) = delete;
   Service& operator=(const Service&) = delete;
 
@@ -260,8 +260,8 @@ class Service {
   // Reusable scratch buffers (DESIGN.md "scratch-buffer convention"): each
   // reaches a fixed capacity during warm-up, after which the steady-state
   // slot loop allocates zero bytes (pinned by tests/test_hot_path_allocs).
-  // The `scratch` suffix is load-bearing — raysched_mem exempts these names
-  // from its hot-region allocation rules.
+  // The `scratch` suffix is load-bearing — raysched_check exempts these
+  // names from its hot-region allocation rules (RS-M1, RS-M3).
   std::vector<FaultEvent> slot_events_;             // fault events, per slot
   std::vector<std::uint32_t> arrivals_scratch_;     // per-link arrivals
   model::LinkSet live_scratch_;                     // servable schedule subset

@@ -84,7 +84,7 @@ class TrafficGenerator {
   [[nodiscard]] const std::vector<char>& burst_state() const {
     return burst_state_;
   }
-  void set_burst_state(std::vector<char> state);  // raysched-mem: allow(RS-M2): sink parameter, moved into burst_state_
+  void set_burst_state(std::vector<char> state);  // raysched-check: allow(RS-M2): sink parameter, moved into burst_state_
 
   /// Expected packets per active link per slot under the configured model
   /// (steady-state for Bursty; the capped-batch mean is approximated by the

@@ -32,7 +32,7 @@ class CellScope {
 };
 
 /// Polls the cooperative cancellation flag and the wall-clock deadline.
-/// This is a raysched_flow RS-D2 whitelisted timing site: the clock feeds
+/// This is a raysched_check RS-D2 whitelisted timing site: the clock feeds
 /// only the deadline/timeout *policy* (when to stop), never a result — the
 /// sweep's statistics stay bit-identical whatever the clock reads.
 class SweepClock {
@@ -178,7 +178,7 @@ std::optional<std::vector<double>> evaluate_cell(const RunContext& ctx,
       CellScope scope(net_idx, trial_idx, attempt);
       // The trial function owns its metric row; one short vector per cell is
       // the handoff contract, not a hot-loop leak.
-      std::vector<double> row = ctx.run_trial(net, rng);  // raysched-mem: allow(RS-M4): per-cell metric row, trial owns allocation
+      std::vector<double> row = ctx.run_trial(net, rng);  // raysched-check: allow(RS-M4): per-cell metric row, trial owns allocation
       fault = validate_row(ctx, row);
       if (!fault && ctx.config.cell_time_limit > 0.0) {
         const double took =

@@ -119,7 +119,7 @@ ThreadPool& default_pool() {
   // thread-safe (C++11 [stmt.dcl]) and all mutable state inside the pool
   // is mutex-guarded and TSA-checked, so the hidden-state hazard RS-D4
   // exists to catch does not apply here.
-  static ThreadPool pool;  // raysched-flow: allow(RS-D4)
+  static ThreadPool pool;  // raysched-check: allow(RS-D4)
   return pool;
 }
 

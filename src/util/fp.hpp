@@ -9,7 +9,7 @@
 // results and break the golden pins — but each site needs an audit trail.
 //
 // These predicates are the one place in the tree where the raw `==` may be
-// written against a float (enforced by raysched_num rule RS-N1): every
+// written against a float (enforced by raysched_check rule RS-N1): every
 // caller is greppable, and the justification lives here once instead of
 // being re-litigated at thirty call sites. The same single-crossing-point
 // philosophy as units::to_linear/to_db (RS-L8).

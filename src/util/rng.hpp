@@ -13,8 +13,8 @@
 // The RNG is layer-0 infrastructure: every library layer (model fading,
 // core transfer, algorithms, learning) draws from it, so it lives in util/,
 // below them all. It moved here from sim/rng.hpp; the one-release forwarding
-// shim at the old path has since been removed (raysched_lint RS-L10 rejects
-// reintroducing it).
+// shim at the old path has since been removed (an include of the old path
+// no longer compiles).
 #pragma once
 
 #include <array>

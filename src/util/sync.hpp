@@ -1,6 +1,6 @@
 // raysched: annotated synchronization primitives.
 //
-// These are the lock types all concurrent library code uses (raysched_lint
+// These are the lock types all concurrent library code uses (raysched_check
 // RS-L2 rejects raw std::mutex / std::condition_variable outside this
 // file). They are thin zero-policy wrappers over the standard primitives
 // whose only job is to carry the Clang Thread Safety annotations from

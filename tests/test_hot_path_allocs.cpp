@@ -1,4 +1,4 @@
-// Runtime pin for the hot-path memory discipline that tools/raysched_mem
+// Runtime pin for the hot-path memory discipline that tools/raysched_check
 // checks lexically: after warm-up, the steady-state serving slot loop, the
 // max-weight recompute (oracle compute plus Theorem-1 pricing), the
 // kernel's incremental update_link, the out-buffer sinr_rayleigh_all and

@@ -7,8 +7,8 @@
 // sim::RngStream at the last commit before the move; if any of these tests
 // fail, the relocation changed the generator and every seeded experiment in
 // the repo silently diverged. (The deprecated sim/rng.hpp forwarding shim
-// served its one-release grace period and is gone; raysched_lint RS-L10
-// rejects any attempt to include the old path again.)
+// served its one-release grace period and is gone; an include of the old
+// path no longer compiles.)
 #include <gtest/gtest.h>
 
 #include "util/rng.hpp"

@@ -1,4 +1,4 @@
-// Seeded violation: platform RNG in library code (RS-L1).
+// Seeded violation: platform RNG in library code (RS-D1).
 #include <random>
 
 namespace raysched::core {

@@ -1,4 +1,4 @@
-// Clean fixture: deterministic library code that raysched_flow must pass.
+// Clean fixture: deterministic library code that raysched_check must pass.
 // Accumulation runs over an index-ordered vector; no entropy, no clocks,
 // no hidden statics.
 #include <cstddef>
