@@ -52,7 +52,9 @@ run_preset() {
   # itself is sanitizer-clean.
   # RayleighSuccess pins the up-front id validation that keeps the
   # Rayleigh kernels from reading the gain matrix out of bounds.
-  local filter='FaultInjection|Engine|ThreadPool|Checkpoint|NetworkIo|cli_sweep|SuccessBatch|ServeSnapshot|ServeFaults|HotPathAllocs|RayleighSuccess'
+  # RecordIo and FormatGolden cover the token codec every state file goes
+  # through; FaultScriptSpec feeds hostile specs to its number parse.
+  local filter='FaultInjection|Engine|ThreadPool|Checkpoint|NetworkIo|cli_sweep|SuccessBatch|ServeSnapshot|ServeFaults|HotPathAllocs|RayleighSuccess|RecordIo|FormatGolden|FaultScriptSpec'
   if [ "$preset" = "thread" ]; then
     # TSan cares about the concurrent paths only; add the parallel_for and
     # stress suites (the serve agent hands results across pool threads),
@@ -63,7 +65,7 @@ run_preset() {
     # division by a zero gain or an overflowing dB cast would hide.
     # RayleighSuccess covers the threshold kernel, which bit-casts in
     # util::neg_log and compares against products of an approximate sum.
-    filter='Units|Theorem1|Lemma1|ExpectedSuccesses|NonFading|Latency|Simulation|Transfer|Nakagami|Shadowing|NetworkIo|Affectance|SuccessBatch|RayleighSuccess'
+    filter='Units|Theorem1|Lemma1|ExpectedSuccesses|NonFading|Latency|Simulation|Transfer|Nakagami|Shadowing|NetworkIo|Affectance|SuccessBatch|RayleighSuccess|RecordIo|FaultScriptSpec'
   fi
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" -R "$filter"
   echo "sanitize: ${preset}: all selected tests passed"

@@ -1,23 +1,22 @@
 #include "model/io.hpp"
 
 #include <cmath>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 #include <vector>
 
 #include "util/error.hpp"
+#include "util/record_io.hpp"
 #include "util/units.hpp"
 
 namespace raysched::model {
 
 namespace {
 
-constexpr int kVersion = 1;
+constexpr std::uint64_t kVersion = 1;
 
 // Upper bounds on the link count accepted from a file header, checked
 // before any allocation so a hostile or corrupted header cannot trigger a
@@ -34,39 +33,9 @@ constexpr double kMaxAbsDecibel = 380.0;
 
 enum class FileUnits { kLinear, kDb };
 
-void expect_token(std::istream& is, const std::string& expected) {
-  std::string token;
-  is >> token;
-  require(static_cast<bool>(is) && token == expected,
-          "read_network: expected token '" + expected + "', got '" + token +
-              "'");
-}
-
-// Token-based double parsing: unlike istream's num_get, strtod accepts
-// "nan"/"inf" spellings, which lets the finiteness checks below reject them
-// with a clear message instead of a generic parse error.
-double read_double(std::istream& is, const char* what) {
-  std::string token;
-  is >> token;
-  require(static_cast<bool>(is) && !token.empty(),
-          std::string("read_network: bad ") + what);
-  char* end = nullptr;
-  const double v = std::strtod(token.c_str(), &end);
-  require(end == token.c_str() + token.size(),
-          std::string("read_network: bad ") + what + " '" + token + "'");
-  return v;
-}
-
-double read_finite_double(std::istream& is, const char* what) {
-  const double v = read_double(is, what);
-  require(std::isfinite(v),
-          std::string("read_network: non-finite ") + what);
-  return v;
-}
-
-double read_finite_nonnegative(std::istream& is, const char* what) {
-  const double v = read_finite_double(is, what);
-  require(v >= 0.0, std::string("read_network: negative ") + what);
+double read_nonnegative(util::TokenReader& r, const char* what) {
+  const double v = r.finite(what);
+  if (v < 0.0) r.fail(std::string("negative ") + what);
   return v;
 }
 
@@ -75,14 +44,13 @@ double read_finite_nonnegative(std::istream& is, const char* what) {
 // must be non-negative (a negative "linear gain" means the tag and the data
 // disagree), dB values may be negative but must be bounded so conversion
 // cannot overflow to Inf or underflow to 0.
-double read_linear_value(std::istream& is, FileUnits units, const char* what) {
-  if (units == FileUnits::kLinear) {
-    return read_finite_nonnegative(is, what);
+double read_linear_value(util::TokenReader& r, FileUnits units,
+                         const char* what) {
+  if (units == FileUnits::kLinear) return read_nonnegative(r, what);
+  const double db = r.finite(what);
+  if (std::abs(db) > kMaxAbsDecibel) {
+    r.fail(std::string("dB ") + what + " out of range (|dB| must be <= 380)");
   }
-  const double db = read_finite_double(is, what);
-  require(std::abs(db) <= kMaxAbsDecibel,
-          std::string("read_network: dB ") + what +
-              " out of range (|dB| must be <= 380)");
   return units::to_linear(units::Decibel(db)).value();
 }
 
@@ -111,85 +79,79 @@ void write_network(std::ostream& os, const Network& net) {
       os << "\n";
     }
   }
-  require(static_cast<bool>(os), "write_network: stream write failed");
+  require_code(static_cast<bool>(os), ErrorCode::Precondition,
+               "write_network: stream write failed");
 }
 
 Network read_network(std::istream& is) {
-  expect_token(is, "raysched-network");
-  int version = 0;
-  is >> version;
-  require(static_cast<bool>(is) && version == kVersion,
-          "read_network: unsupported version");
-  expect_token(is, "kind");
-  std::string kind;
-  is >> kind;
-  require(kind == "geometric" || kind == "matrix",
-          "read_network: unknown kind '" + kind + "'");
+  util::TokenReader r(is, ErrorCode::Precondition, "read_network");
+  r.expect("raysched-network");
+  r.check(r.u64("version") == kVersion, "unsupported version");
+  r.expect("kind");
+  const std::string kind = r.word("kind");
+  r.check(kind == "geometric" || kind == "matrix",
+          "unknown kind '" + kind + "'");
   // Optional unit tag for the power/gain payload; absent means linear,
   // matching files written before the tag existed.
   FileUnits file_units = FileUnits::kLinear;
-  std::string token;
-  is >> token;
+  std::string token = r.word("'units' or 'n'");
   if (token == "units") {
-    std::string mode;
-    is >> mode;
-    require(static_cast<bool>(is) && (mode == "linear" || mode == "db"),
-            "read_network: unknown units '" + mode + "'");
+    const std::string mode = r.word("units");
+    r.check(mode == "linear" || mode == "db", "unknown units '" + mode + "'");
     if (mode == "db") file_units = FileUnits::kDb;
-    is >> token;
+    token = r.word("'n'");
   }
-  require(static_cast<bool>(is) && token == "n",
-          "read_network: expected token 'n', got '" + token + "'");
-  std::size_t n = 0;
-  is >> n;
-  require(static_cast<bool>(is) && n > 0, "read_network: bad link count");
-  require(n <= (kind == "matrix" ? kMaxMatrixLinks : kMaxGeometricLinks),
-          "read_network: implausible link count (refusing to allocate)");
-  expect_token(is, "noise");
-  const double noise = read_finite_nonnegative(is, "noise");
+  r.check(token == "n", "expected token 'n'");
+  const std::size_t n = r.count(
+      "link count", kind == "matrix" ? kMaxMatrixLinks : kMaxGeometricLinks);
+  r.check(n > 0, "link count must be > 0");
+  r.expect("noise");
+  const double noise = read_nonnegative(r, "noise");
 
   if (kind == "geometric") {
-    expect_token(is, "alpha");
-    const double alpha = read_finite_nonnegative(is, "alpha");
+    r.expect("alpha");
+    const double alpha = read_nonnegative(r, "alpha");
     std::vector<Link> links;
     std::vector<double> powers;
     links.reserve(n);
     powers.reserve(n);
     for (std::size_t k = 0; k < n; ++k) {
-      expect_token(is, "link");
+      r.expect("link");
       Link l;
-      l.sender.x = read_finite_double(is, "sender x");
-      l.sender.y = read_finite_double(is, "sender y");
-      l.receiver.x = read_finite_double(is, "receiver x");
-      l.receiver.y = read_finite_double(is, "receiver y");
-      powers.push_back(read_linear_value(is, file_units, "power"));
+      l.sender.x = r.finite("sender x");
+      l.sender.y = r.finite("sender y");
+      l.receiver.x = r.finite("receiver x");
+      l.receiver.y = r.finite("receiver y");
+      powers.push_back(read_linear_value(r, file_units, "power"));
       links.push_back(l);
     }
-    Network net(std::move(links), PowerAssignment::explicit_powers(powers),
-                alpha, units::Power(noise));
-    return net;
+    return r.convert([&] {
+      return Network(std::move(links),
+                     PowerAssignment::explicit_powers(powers), alpha,
+                     units::Power(noise));
+    });
   }
 
   std::vector<double> gains(n * n);
   for (std::size_t j = 0; j < n; ++j) {
-    expect_token(is, "gains");
+    r.expect("gains");
     for (std::size_t i = 0; i < n; ++i) {
-      gains[j * n + i] = read_linear_value(is, file_units, "gain entry");
+      gains[j * n + i] = read_linear_value(r, file_units, "gain entry");
     }
   }
-  return Network(n, std::move(gains), units::Power(noise));
+  return r.convert(
+      [&] { return Network(n, std::move(gains), units::Power(noise)); });
 }
 
 void save_network(const std::string& path, const Network& net) {
-  std::ofstream f(path);
-  require(f.good(), "save_network: cannot open " + path);
-  write_network(f, net);
-  require(f.good(), "save_network: write failed for " + path);
+  util::write_file_atomic(path, ErrorCode::Precondition,
+                          [&](std::ostream& os) { write_network(os, net); });
 }
 
 Network load_network(const std::string& path) {
   std::ifstream f(path);
-  require(f.good(), "load_network: cannot open " + path);
+  require_code(f.good(), ErrorCode::Precondition,
+               "load_network: cannot open " + path);
   return read_network(f);
 }
 

@@ -4,7 +4,9 @@
 // networks store links + per-link powers + alpha + noise (gains are always
 // derivable as p_j / d^alpha); matrix networks store the raw gain matrix.
 // The format is line-oriented, versioned, and locale-independent
-// (max-precision doubles).
+// (max-precision doubles), read and written with the shared token codec in
+// util/record_io.hpp: numbers follow its one grammar (no leading '+', no
+// hex floats, no partial tokens).
 //
 //   raysched-network 1
 //   kind geometric|matrix
@@ -17,7 +19,10 @@
 // converted through units::to_linear at the parse boundary; with the
 // default `units linear` they are linear values and negative entries are
 // rejected. A tag/value mismatch (negative linear gain, unbounded dB) is
-// a raysched::error, never a silent clamp.
+// an error, never a silent clamp.
+//
+// Every failure, malformed input and file I/O alike, throws
+// coded_error{Precondition}, which is a raysched::error.
 #pragma once
 
 #include <iosfwd>
@@ -27,14 +32,16 @@
 
 namespace raysched::model {
 
-/// Writes `net` to the stream. Throws raysched::error on I/O failure.
+/// Writes `net` to the stream. Throws coded_error{Precondition} on I/O
+/// failure.
 void write_network(std::ostream& os, const Network& net);
 
-/// Reads a network written by write_network. Throws raysched::error on
-/// malformed input.
+/// Reads a network written by write_network. Throws
+/// coded_error{Precondition} on malformed input.
 [[nodiscard]] Network read_network(std::istream& is);
 
-/// File convenience wrappers.
+/// File convenience wrappers; save_network writes path.tmp and renames it
+/// over `path`.
 void save_network(const std::string& path, const Network& net);
 [[nodiscard]] Network load_network(const std::string& path);
 

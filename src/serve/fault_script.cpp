@@ -2,9 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
+#include <optional>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/record_io.hpp"
 
 namespace raysched::serve {
 
@@ -80,31 +82,23 @@ FaultScript FaultScript::parse(const std::string& spec, std::uint64_t period) {
                  "FaultScript::parse: expected slot:kind[:arg], got '" + item +
                      "'");
     FaultEvent event;
-    {
-      std::istringstream slot_ss(field);
-      slot_ss >> event.slot;
-      require_code(static_cast<bool>(slot_ss) && slot_ss.eof(),
-                   ErrorCode::Precondition,
-                   "FaultScript::parse: bad slot in '" + item + "'");
-    }
+    const std::optional<std::uint64_t> slot = util::parse_u64(field);
+    require_code(slot.has_value(), ErrorCode::Precondition,
+                 "FaultScript::parse: bad slot in '" + item + "'");
+    event.slot = *slot;
     require_code(static_cast<bool>(std::getline(parts, field, ':')),
                  ErrorCode::Precondition,
                  "FaultScript::parse: missing kind in '" + item + "'");
     std::string arg_text;
     const bool has_arg = static_cast<bool>(std::getline(parts, arg_text));
-    double arg = 0.0;
-    if (has_arg) {
-      std::istringstream arg_ss(arg_text);
-      arg_ss >> arg;
-      require_code(static_cast<bool>(arg_ss) && arg_ss.eof(),
-                   ErrorCode::Precondition,
-                   "FaultScript::parse: bad argument in '" + item + "'");
-    }
+    const std::optional<double> arg = util::parse_finite(arg_text);
+    require_code(!has_arg || arg.has_value(), ErrorCode::Precondition,
+                 "FaultScript::parse: bad argument in '" + item + "'");
     if (field == "delay") {
       require_code(has_arg, ErrorCode::Precondition,
                    "FaultScript::parse: delay needs an argument");
       event.kind = FaultKind::RecomputeDelay;
-      event.arg = arg;
+      event.arg = *arg;
     } else if (field == "poison-on") {
       event.kind = FaultKind::PoisonOn;
     } else if (field == "poison-off") {
@@ -113,7 +107,7 @@ FaultScript FaultScript::parse(const std::string& spec, std::uint64_t period) {
       require_code(has_arg, ErrorCode::Precondition,
                    "FaultScript::parse: churn-burst needs an argument");
       event.kind = FaultKind::ChurnBurst;
-      event.arg = arg;
+      event.arg = *arg;
     } else if (field == "crash") {
       event.kind = FaultKind::Crash;
     } else {

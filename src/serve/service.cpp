@@ -574,6 +574,20 @@ void Service::restore(const ServeSnapshot& snap) {
                    snap.feedback_success.size() == net_.size(),
                ErrorCode::SnapshotFormat,
                "Service::restore: flag vector size mismatch");
+  // A corrupt counter or queue digit fails here instead of surfacing as a
+  // conservation violation blamed on the service. Saturating sums keep
+  // hostile counters from wrapping into a match.
+  std::uint64_t accounted = snap.served_total;
+  for (std::uint64_t v : snap.queues) accounted = util::sat_add(accounted, v);
+  for (std::uint64_t v : {snap.dropped_capacity, snap.dropped_shed,
+                          snap.dropped_churn, snap.dropped_quarantine}) {
+    accounted = util::sat_add(accounted, v);
+  }
+  require_code(accounted < std::numeric_limits<std::uint64_t>::max() &&
+                   snap.arrivals_total == accounted,
+               ErrorCode::SnapshotFormat,
+               "Service::restore: counters violate arrivals == served + "
+               "backlog + drops");
 
   next_slot_ = snap.next_slot;
   monitor_.restore(snap.health);

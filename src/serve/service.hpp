@@ -183,7 +183,8 @@ class Service {
   /// Rebuilds state from a snapshot (fingerprint-checked) on a freshly
   /// constructed service; an in-flight recompute is resubmitted so its
   /// adoption slot is preserved. Throws coded_error{SnapshotFormat} on a
-  /// fingerprint mismatch and raysched::error if slots were already run.
+  /// fingerprint mismatch or on counters that break the conservation
+  /// invariant, and raysched::error if slots were already run.
   void restore(const ServeSnapshot& snap);
 
   [[nodiscard]] std::uint64_t next_slot() const { return next_slot_; }

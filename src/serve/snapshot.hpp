@@ -1,9 +1,10 @@
 // raysched: crash-safe snapshot/restore for the serving loop.
 //
 // The service periodically writes its full behavior-bearing state to disk
-// with the atomic-rename idiom (write path.tmp, fsync-by-close, rename), so
-// a kill at any point leaves either the previous snapshot or the new one —
-// never a torn file. Restoring from a snapshot and continuing produces a
+// with the atomic-rename idiom (write path.tmp, rename it over path; see
+// util::write_file_atomic), so a process kill at any point leaves either
+// the previous snapshot or the new one — never a torn file. Nothing is
+// fsynced: a power loss can still lose or tear the file. Restoring from a snapshot and continuing produces a
 // bit-identical trajectory to the uninterrupted run, which tests/soak
 // enforce. Two design choices make that exactness cheap:
 //
@@ -134,12 +135,14 @@ struct ServeSnapshot {
 /// weights).
 void write_snapshot(std::ostream& os, const ServeSnapshot& snap);
 
-/// Parses write_snapshot's format. Throws coded_error{SnapshotFormat} on
-/// any malformed, truncated, or inconsistent input.
+/// Parses write_snapshot's format with util::TokenReader. Throws
+/// coded_error{SnapshotFormat} on any malformed, truncated, or inconsistent
+/// input, including a signed value in an unsigned field.
 [[nodiscard]] ServeSnapshot read_snapshot(std::istream& is);
 
-/// Atomic-rename save: the file at `path` is either the old snapshot or the
-/// complete new one, never torn. Throws coded_error{SnapshotIo} on failure.
+/// Atomic-rename save: after a process kill the file at `path` is either
+/// the old snapshot or the complete new one, never torn. Throws
+/// coded_error{SnapshotIo} on failure.
 void save_snapshot_atomic(const std::string& path, const ServeSnapshot& snap);
 
 /// Loads and parses `path`. Throws coded_error{SnapshotIo} if unreadable,

@@ -1,42 +1,19 @@
 #include "sim/checkpoint.hpp"
 
-#include <cstdio>
 #include <fstream>
 #include <iomanip>
 #include <istream>
 #include <limits>
 #include <ostream>
-#include <sstream>
 
 #include "util/error.hpp"
+#include "util/record_io.hpp"
 
 namespace raysched::sim {
 
 namespace {
 
-constexpr int kVersion = 1;
-
-void expect_token(std::istream& is, const std::string& expected) {
-  std::string token;
-  is >> token;
-  require(static_cast<bool>(is) && token == expected,
-          "read_checkpoint: expected token '" + expected + "', got '" + token +
-              "'");
-}
-
-std::size_t read_size(std::istream& is, const char* what) {
-  std::size_t v = 0;
-  is >> v;
-  require(static_cast<bool>(is), std::string("read_checkpoint: bad ") + what);
-  return v;
-}
-
-double read_double(std::istream& is, const char* what) {
-  double v = 0.0;
-  is >> v;
-  require(static_cast<bool>(is), std::string("read_checkpoint: bad ") + what);
-  return v;
-}
+constexpr std::uint64_t kVersion = 1;
 
 /// Failure messages are stored on one line; squash any embedded newlines.
 std::string one_line(const std::string& s) {
@@ -60,12 +37,14 @@ void write_checkpoint(std::ostream& os, const Checkpoint& ckpt) {
   os << "dims " << ckpt.num_networks << " " << ckpt.trials_per_network << "\n";
   os << "metrics " << ckpt.metric_names.size() << "\n";
   for (const std::string& name : ckpt.metric_names) {
-    require(!name.empty(), "write_checkpoint: empty metric name");
+    require_code(!name.empty(), ErrorCode::SnapshotFormat,
+                 "write_checkpoint: empty metric name");
     os << "metric " << one_line(name) << "\n";
   }
   for (const NetworkCheckpoint& net : ckpt.networks) {
-    require(net.trial_acc.size() == ckpt.metric_names.size(),
-            "write_checkpoint: accumulator width mismatch");
+    require_code(net.trial_acc.size() == ckpt.metric_names.size(),
+                 ErrorCode::SnapshotFormat,
+                 "write_checkpoint: accumulator width mismatch");
     os << "network " << net.net_idx << " cells " << net.cells_completed
        << " skipped " << net.cells_skipped << " retries " << net.retries_used
        << " failures " << net.failures.size() << "\n";
@@ -87,98 +66,72 @@ void write_checkpoint(std::ostream& os, const Checkpoint& ckpt) {
     }
   }
   os << "end\n";
-  require(static_cast<bool>(os), "write_checkpoint: stream write failed");
+  require_code(static_cast<bool>(os), ErrorCode::SnapshotIo,
+               "write_checkpoint: stream write failed");
 }
 
 Checkpoint read_checkpoint(std::istream& is) {
-  expect_token(is, "raysched-checkpoint");
-  int version = 0;
-  is >> version;
-  require(static_cast<bool>(is) && version == kVersion,
-          "read_checkpoint: unsupported version");
+  util::TokenReader r(is, ErrorCode::SnapshotFormat, "read_checkpoint");
+  r.expect("raysched-checkpoint");
+  r.check(r.u64("version") == kVersion, "unsupported version");
   Checkpoint ckpt;
-  expect_token(is, "seed");
-  is >> ckpt.master_seed;
-  require(static_cast<bool>(is), "read_checkpoint: bad seed");
-  expect_token(is, "dims");
-  ckpt.num_networks = read_size(is, "network count");
-  ckpt.trials_per_network = read_size(is, "trial count");
-  require(ckpt.num_networks <= kMaxCount && ckpt.trials_per_network <= kMaxCount,
-          "read_checkpoint: implausible dims");
-  expect_token(is, "metrics");
-  const std::size_t m = read_size(is, "metric count");
-  require(m > 0 && m <= kMaxCount, "read_checkpoint: implausible metric count");
+  r.expect("seed");
+  ckpt.master_seed = r.u64("seed");
+  r.expect("dims");
+  ckpt.num_networks = r.count("network count", kMaxCount);
+  ckpt.trials_per_network = r.count("trial count", kMaxCount);
+  r.expect("metrics");
+  const std::size_t m = r.count("metric count", kMaxCount);
+  r.check(m > 0, "metric count must be > 0");
   ckpt.metric_names.reserve(m);
   for (std::size_t k = 0; k < m; ++k) {
-    expect_token(is, "metric");
-    is >> std::ws;
-    std::string name;
-    std::getline(is, name);
-    require(static_cast<bool>(is) && !name.empty(),
-            "read_checkpoint: bad metric name");
-    ckpt.metric_names.push_back(name);
+    r.expect("metric");
+    ckpt.metric_names.push_back(r.rest_of_line("metric name"));
   }
 
   for (;;) {
-    std::string token;
-    is >> token;
-    require(static_cast<bool>(is), "read_checkpoint: truncated file");
-    if (token == "end") break;
-    require(token == "network",
-            "read_checkpoint: expected 'network' or 'end', got '" + token +
-                "'");
+    const std::string section = r.word("'network' or 'end'");
+    if (section == "end") break;
+    r.check(section == "network",
+            "expected 'network' or 'end', got '" + section + "'");
     NetworkCheckpoint net;
-    net.net_idx = read_size(is, "network index");
-    require(net.net_idx < ckpt.num_networks,
-            "read_checkpoint: network index out of range");
-    expect_token(is, "cells");
-    net.cells_completed = read_size(is, "cell count");
-    expect_token(is, "skipped");
-    net.cells_skipped = read_size(is, "skipped count");
-    expect_token(is, "retries");
-    net.retries_used = read_size(is, "retry count");
-    expect_token(is, "failures");
-    const std::size_t num_failures = read_size(is, "failure count");
-    require(num_failures <= kMaxCount,
-            "read_checkpoint: implausible failure count");
+    net.net_idx = r.index("network index", ckpt.num_networks);
+    r.expect("cells");
+    net.cells_completed = r.u64("cell count");
+    r.expect("skipped");
+    net.cells_skipped = r.u64("skipped count");
+    r.expect("retries");
+    net.retries_used = r.u64("retry count");
+    r.expect("failures");
+    const std::size_t num_failures = r.count("failure count", kMaxCount);
     net.trial_acc.reserve(m);
     for (std::size_t k = 0; k < m; ++k) {
-      expect_token(is, "acc");
-      const std::size_t n = read_size(is, "accumulator count");
-      const double mean = read_double(is, "accumulator mean");
-      const double m2 = read_double(is, "accumulator m2");
-      const double sum = read_double(is, "accumulator sum");
-      const double min = read_double(is, "accumulator min");
-      const double max = read_double(is, "accumulator max");
+      r.expect("acc");
+      const std::uint64_t n = r.u64("accumulator count");
+      const double mean = r.finite("accumulator mean");
+      const double m2 = r.finite("accumulator m2");
+      const double sum = r.finite("accumulator sum");
+      const double min = r.finite("accumulator min");
+      const double max = r.finite("accumulator max");
       net.trial_acc.push_back(
           Accumulator::from_state(n, mean, m2, sum, min, max));
     }
     net.failures.reserve(num_failures);
     for (std::size_t f = 0; f < num_failures; ++f) {
-      expect_token(is, "failure");
+      r.expect("failure");
       CellFailure failure;
       failure.net_idx = net.net_idx;
-      std::string trial;
-      is >> trial;
-      require(static_cast<bool>(is), "read_checkpoint: bad failure trial");
-      if (trial == "factory") {
-        failure.trial_idx = kNoTrial;
-      } else {
-        std::istringstream ts(trial);
-        ts >> failure.trial_idx;
-        require(static_cast<bool>(ts), "read_checkpoint: bad failure trial");
+      const std::string trial = r.word("failure trial");
+      if (trial != "factory") {
+        const std::optional<std::uint64_t> idx = util::parse_u64(trial);
+        r.check(idx.has_value(), "bad failure trial");
+        failure.trial_idx = *idx;
       }
-      std::string kind;
-      is >> kind;
-      require(static_cast<bool>(is), "read_checkpoint: bad failure kind");
-      failure.kind = failure_kind_from_string(kind);
-      failure.seed_coords.attempt = read_size(is, "failure attempt");
-      failure.seed_coords.master_seed = ckpt.master_seed;
-      failure.seed_coords.net_idx = failure.net_idx;
-      failure.seed_coords.trial_idx = failure.trial_idx;
-      is >> std::ws;
-      std::getline(is, failure.what);
-      require(static_cast<bool>(is), "read_checkpoint: bad failure message");
+      const std::string kind = r.word("failure kind");
+      failure.kind = r.convert([&] { return failure_kind_from_string(kind); });
+      failure.seed_coords = {ckpt.master_seed, failure.net_idx,
+                             failure.trial_idx, r.u64("failure attempt")};
+      failure.what = r.rest_of_line("failure message");
       net.failures.push_back(std::move(failure));
     }
     ckpt.networks.push_back(std::move(net));
@@ -187,21 +140,15 @@ Checkpoint read_checkpoint(std::istream& is) {
 }
 
 void save_checkpoint_atomic(const std::string& path, const Checkpoint& ckpt) {
-  const std::string tmp = path + ".tmp";
-  {
-    std::ofstream f(tmp, std::ios::trunc);
-    require(f.good(), "save_checkpoint_atomic: cannot open " + tmp);
-    write_checkpoint(f, ckpt);
-    f.flush();
-    require(f.good(), "save_checkpoint_atomic: write failed for " + tmp);
-  }
-  require(std::rename(tmp.c_str(), path.c_str()) == 0,
-          "save_checkpoint_atomic: rename to " + path + " failed");
+  util::write_file_atomic(path, ErrorCode::SnapshotIo, [&](std::ostream& os) {
+    write_checkpoint(os, ckpt);
+  });
 }
 
 Checkpoint load_checkpoint(const std::string& path) {
   std::ifstream f(path);
-  require(f.good(), "load_checkpoint: cannot open " + path);
+  require_code(f.good(), ErrorCode::SnapshotIo,
+               "load_checkpoint: cannot open " + path);
   return read_checkpoint(f);
 }
 

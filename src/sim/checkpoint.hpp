@@ -1,12 +1,13 @@
 // raysched: checkpoint persistence for long-running Monte-Carlo sweeps.
 //
 // run_experiment periodically snapshots all fully-processed networks to a
-// versioned plain-text file (same line-oriented, locale-independent idioms
-// as model/io.hpp) and can resume from such a file, skipping completed
-// networks. Accumulator state is stored at max_digits10 so a resumed run is
-// bitwise-identical to an uninterrupted one. Writes go through a temporary
-// file followed by an atomic rename, so a crash mid-write never corrupts an
-// existing checkpoint.
+// versioned plain-text file (read and written with the shared token codec
+// in util/record_io.hpp, like serve snapshots and network files) and can
+// resume from such a file, skipping completed networks. Accumulator state
+// is stored at max_digits10 so a resumed run is bitwise-identical to an
+// uninterrupted one. Writes go through a temporary file followed by a
+// rename, so a process killed mid-write never corrupts an existing
+// checkpoint (nothing is fsynced, so a power loss still can).
 //
 //   raysched-checkpoint 1
 //   seed <master_seed>
@@ -53,17 +54,21 @@ struct Checkpoint {
   std::vector<NetworkCheckpoint> networks;
 };
 
-/// Writes `ckpt` to the stream. Throws raysched::error on I/O failure.
+/// Writes `ckpt` to the stream. Throws coded_error{SnapshotIo} on I/O
+/// failure and coded_error{SnapshotFormat} on unserializable state.
 void write_checkpoint(std::ostream& os, const Checkpoint& ckpt);
 
-/// Reads a checkpoint written by write_checkpoint. Throws raysched::error on
-/// malformed input.
+/// Reads a checkpoint written by write_checkpoint. Throws
+/// coded_error{SnapshotFormat} on malformed input.
 [[nodiscard]] Checkpoint read_checkpoint(std::istream& is);
 
 /// Writes to `path + ".tmp"` then renames over `path` (atomic on POSIX), so
-/// readers never observe a torn file. Throws raysched::error on failure.
+/// readers never observe a torn file. Throws coded_error{SnapshotIo} on
+/// failure.
 void save_checkpoint_atomic(const std::string& path, const Checkpoint& ckpt);
 
+/// Throws coded_error{SnapshotIo} if unreadable, {SnapshotFormat} if
+/// malformed.
 [[nodiscard]] Checkpoint load_checkpoint(const std::string& path);
 
 }  // namespace raysched::sim

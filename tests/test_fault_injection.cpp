@@ -511,6 +511,20 @@ TEST(Checkpoint, RejectsMalformedInput) {
         "acc 0 0 0 0 0 0\nend\n");
     EXPECT_THROW(read_checkpoint(ss), raysched::error);
   }
+  {
+    // Signed values in unsigned fields are malformed, not huge counts.
+    std::stringstream ss(
+        "raysched-checkpoint 1\nseed -5\ndims 2 2\nmetrics 1\nmetric m\n"
+        "end\n");
+    EXPECT_THROW(read_checkpoint(ss), raysched::error);
+  }
+  {
+    std::stringstream ss(
+        "raysched-checkpoint 1\nseed 1\ndims 2 2\nmetrics 1\nmetric m\n"
+        "network 0 cells -1 skipped 0 retries 0 failures 0\n"
+        "acc 0 0 0 0 0 0\nend\n");
+    EXPECT_THROW(read_checkpoint(ss), raysched::error);
+  }
   EXPECT_THROW(load_checkpoint("does_not_exist.ckpt"), raysched::error);
 }
 

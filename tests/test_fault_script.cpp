@@ -42,6 +42,7 @@ TEST(FaultScriptSpec, MalformedStructureIsAPreconditionError) {
   expect_precondition("10:frobnicate");  // unknown kind
   expect_precondition("10:churn-burst:1.5");  // fraction above 1
   expect_precondition("150:poison-on", /*period=*/100);  // beyond period
+  expect_precondition("-5:crash");      // signed slot, not 2^64 - 5
 }
 
 TEST(FaultScriptSpec, DuplicateSlotKindPairsAreRejected) {

@@ -431,6 +431,20 @@ TEST(ServeSnapshot, RejectsCorruptedInput) {
     std::istringstream is(bad);
     EXPECT_THROW((void)read_snapshot(is), coded_error);
   }
+  // A signed value in an unsigned field is malformed, not 2^64 - 1.
+  {
+    std::string bad = text;
+    const auto pos = bad.find("queues 3 : 50 ");
+    ASSERT_NE(pos, std::string::npos);
+    bad.replace(pos, 14, "queues 3 : -1 ");
+    std::istringstream is(bad);
+    try {
+      (void)read_snapshot(is);
+      FAIL() << "negative queue length parsed";
+    } catch (const coded_error& e) {
+      EXPECT_EQ(e.code(), ErrorCode::SnapshotFormat);
+    }
+  }
 }
 
 TEST(ServeSnapshot, NonFiniteWeightsAreUnserializable) {

@@ -6,6 +6,7 @@
 
 #include <cstdio>
 #include <fstream>
+#include <iterator>
 #include <limits>
 #include <string>
 #include <vector>
@@ -519,6 +520,40 @@ TEST(ServeFaults, DelayPileUpSaturatesInsteadOfWrapping) {
   const ServeReport rb = restored.run(50);
   expect_same_digests(rb.digests, ra.digests);
   EXPECT_EQ(rb.served, ra.served);
+  std::remove(path.c_str());
+}
+
+TEST(ServeFaults, RestoreRejectsNonConservingCounters) {
+  // One flipped queue digit in an otherwise well-formed snapshot must be
+  // refused at restore, not reported later as a conservation violation.
+  const std::string path =
+      ::testing::TempDir() + "raysched_serve_nonconserving.snap";
+  ServeConfig config = base_config();
+  Service a(serve_network(), config);
+  (void)a.run(60);
+  save_snapshot_atomic(path, a.snapshot());
+  std::string text;
+  {
+    std::ifstream in(path);
+    text.assign(std::istreambuf_iterator<char>(in),
+                std::istreambuf_iterator<char>());
+  }
+  const auto pos = text.find("queues 16 : ");
+  ASSERT_NE(pos, std::string::npos);
+  const std::size_t digit = pos + 12;
+  text[digit] = text[digit] == '9' ? '8' : static_cast<char>(text[digit] + 1);
+  {
+    std::ofstream out(path, std::ios::trunc);
+    out << text;
+  }
+  const ServeSnapshot corrupt = load_snapshot(path);
+  Service b(serve_network(), config);
+  try {
+    b.restore(corrupt);
+    FAIL() << "non-conserving snapshot restored";
+  } catch (const coded_error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::SnapshotFormat);
+  }
   std::remove(path.c_str());
 }
 
