@@ -1,100 +1,51 @@
 #!/usr/bin/env python3
-"""perf_compare: diff two BENCH_N.json artifacts by named counter.
+"""perf_compare: diff two perf_theorem1 JSON artifacts by named counter.
 
 Compares a candidate bench run against a baseline (typically the committed
-BENCH_N.json) and exits nonzero when any compared counter regressed by
+BENCH_5.json) and exits nonzero when any compared counter regressed by
 more than the tolerance. This is the perf-regression ratchet: CI runs
-the reduced perf sweep, then holds the fresh numbers against the
+the reduced perf_theorem1 sweep, then holds the fresh numbers against the
 committed artifact.
 
 Counter flattening: each entry of the top-level "sizes" array becomes
-"n<n>.<counter>" (e.g. "n256.speedup_batched"); entries that also carry a
-"policy" string (perf_serve emits one row per schedule policy) become
-"n<n>.<policy>.<counter>" (e.g. "n256.max-weight.p99_slot_us");
-nested objects such as "rwm" become "rwm.<counter>"; top-level numeric
-fields keep their name. Only counters present in BOTH files are compared
-(CI runs reduced size sweeps, so the intersection is the contract).
+"n<n>.<counter>" (e.g. "n256.speedup_batched"); nested objects such as
+"rwm" become "rwm.<counter>"; top-level numeric fields keep their name.
+Only counters present in BOTH files are compared (CI runs reduced size
+sweeps, so the intersection is the contract).
 
 Direction is inferred from the counter name:
-  higher-is-better:  *per_sec*, speedup_*, served
-  lower-is-better:   *_ns, *_us, *ns_per*, *us_per*
+  higher-is-better:  *per_sec*, speedup_*
+  lower-is-better:   *_ns, *ns_per*
 Anything else (checksums, configuration echoes like beta/reps) is
-informational and never gates. Boolean conservation_ok and
-deterministic_ok counters are a hard gate regardless of tolerance: a
-candidate that trades throughput for a conservation or thread-count
-determinism violation must fail.
+informational and never gates.
 
-Artifact sequence: the committed artifacts are BENCH_<N>.json with N the
-PR sequence number, and the sequence has gaps (BENCH_7.json was never
-committed — that PR changed no perf-relevant code). Comparing two
-artifacts whose numbers differ by more than 1 is usually a mistake (it
-silently attributes several PRs' worth of drift to the candidate), so it
-is refused unless the baseline is a *stated choice*: pass it via
---baseline instead of the first positional to say "yes, I mean to span
-the gap".
-
-Exit codes: 0 within tolerance, 1 regression (or conservation violation),
-2 usage/format error.
+Exit codes: 0 within tolerance, 1 regression, 2 usage/format error.
 """
 
 import argparse
 import fnmatch
 import json
-import os
-import re
 import sys
 
-HIGHER_BETTER = ("per_sec", "speedup", "served")
-LOWER_BETTER = ("_ns", "_us", "ns_per", "us_per", "allocs", "p99_over_p50")
-HARD_BOOLS = ("conservation_ok", "deterministic_ok")
-
-BENCH_NAME_RE = re.compile(r"^BENCH_(\d+)\.json$")
-
-
-def bench_number(path):
-    """The N of a BENCH_N.json basename, or None for other filenames."""
-    match = BENCH_NAME_RE.match(os.path.basename(path))
-    return int(match.group(1)) if match else None
-
-
-def adjacency_error(baseline_path, candidate_path, stated):
-    """Error string when the pair spans a gap in the BENCH_N sequence.
-
-    Applies only when BOTH files follow the BENCH_N.json naming scheme;
-    ad-hoc filenames (CI's fresh bench_serve.json, tmp files) carry no
-    sequence position and always compare. Identical numbers (the identity
-    test) and adjacent numbers pass; anything wider needs `stated` (the
-    --baseline flag) to be an explicit choice.
-    """
-    base_n = bench_number(baseline_path)
-    cand_n = bench_number(candidate_path)
-    if base_n is None or cand_n is None or abs(cand_n - base_n) <= 1 or stated:
-        return None
-    return (f"BENCH_{base_n} -> BENCH_{cand_n} spans a gap in the artifact "
-            f"sequence (e.g. BENCH_7.json was never committed); pass the "
-            f"baseline via --baseline to make the non-adjacent comparison "
-            f"a stated choice")
+HIGHER_BETTER = ("per_sec", "speedup")
+LOWER_BETTER = ("_ns", "ns_per")
 
 
 def flatten(doc, prefix=""):
-    """Yields (key, value) for every numeric/bool leaf counter."""
+    """Yields (key, value) for every numeric leaf counter."""
     if isinstance(doc, dict):
         for name, value in doc.items():
             if name == "sizes" and isinstance(value, list):
                 for entry in value:
                     n = entry.get("n")
                     sub = f"n{n}." if n is not None else ""
-                    # Per-policy rows (perf_serve): the policy joins the
-                    # prefix so the same counter gates per policy.
-                    policy = entry.get("policy")
-                    if isinstance(policy, str) and policy:
-                        sub += f"{policy}."
                     for key, leaf in flatten(entry, prefix + sub):
                         if key != prefix + sub + "n":
                             yield key, leaf
             elif isinstance(value, (dict, list)):
                 yield from flatten(value, f"{prefix}{name}.")
-            elif isinstance(value, (int, float, bool)):
+            elif (isinstance(value, (int, float))
+                  and not isinstance(value, bool)):
                 yield f"{prefix}{name}", value
     elif isinstance(doc, list):
         for idx, value in enumerate(doc):
@@ -106,7 +57,7 @@ def direction(key):
     leaf = key.rsplit(".", 1)[-1]
     if any(tok in leaf for tok in HIGHER_BETTER):
         return "up"
-    if any(leaf.endswith(tok) or tok in leaf for tok in LOWER_BETTER):
+    if any(tok in leaf for tok in LOWER_BETTER):
         return "down"
     return None
 
@@ -127,15 +78,6 @@ def compare(baseline, candidate, tolerance, patterns):
         if patterns and not any(fnmatch.fnmatch(key, p) for p in patterns):
             continue
         base, cand = baseline[key], candidate[key]
-        leaf = key.rsplit(".", 1)[-1]
-        if leaf in HARD_BOOLS:
-            ok = bool(cand)
-            rows.append((key, base, cand, 0.0, "ok" if ok else "VIOLATED"))
-            if not ok:
-                failures.append(f"{key}: {leaf} violated")
-            continue
-        if isinstance(base, bool) or isinstance(cand, bool):
-            continue
         sense = direction(key)
         if sense is None or base == 0:
             rows.append((key, base, cand, 0.0, "info"))
@@ -156,30 +98,22 @@ def compare(baseline, candidate, tolerance, patterns):
 
 def self_test():
     baseline = {"n64.speedup_batched": 20.0, "n64.scalar_ns_per_eval": 100.0,
-                "n64.conservation_ok": True, "n1.deterministic_ok": True,
                 "beta": 2.5}
     checks = [
         # (candidate, tolerance, should_fail, label)
         ({"n64.speedup_batched": 19.0, "n64.scalar_ns_per_eval": 100.0,
-          "n64.conservation_ok": True, "beta": 2.5},
+          "beta": 2.5},
          0.10, False, "5% speedup dip within 10% tolerance"),
         ({"n64.speedup_batched": 15.0, "n64.scalar_ns_per_eval": 100.0,
-          "n64.conservation_ok": True, "beta": 2.5},
+          "beta": 2.5},
          0.10, True, "25% speedup regression fails"),
         ({"n64.speedup_batched": 20.0, "n64.scalar_ns_per_eval": 150.0,
-          "n64.conservation_ok": True, "beta": 2.5},
-         0.10, True, "50% latency growth fails"),
-        ({"n64.speedup_batched": 20.0, "n64.scalar_ns_per_eval": 100.0,
-          "n64.conservation_ok": False, "beta": 2.5},
-         0.50, True, "conservation violation fails at any tolerance"),
-        ({"n64.speedup_batched": 40.0, "n64.scalar_ns_per_eval": 50.0,
-          "n64.conservation_ok": True, "beta": 9.9},
-         0.10, False, "improvements and config echoes never gate"),
-        ({"n64.speedup_batched": 20.0, "n64.scalar_ns_per_eval": 100.0,
-          "n64.conservation_ok": True, "n1.deterministic_ok": False,
           "beta": 2.5},
-         0.50, True, "determinism violation fails at any tolerance"),
-        ({"n9999.slots_per_sec": 1.0},
+         0.10, True, "50% latency growth fails"),
+        ({"n64.speedup_batched": 40.0, "n64.scalar_ns_per_eval": 50.0,
+          "beta": 9.9},
+         0.10, False, "improvements and config echoes never gate"),
+        ({"n9999.rounds_per_sec": 1.0},
          0.10, False, "disjoint keys compare nothing"),
     ]
     sample = {"bench": "b", "sizes": [{"n": 64, "x_ns": 5, "speedup_k": 2.0}],
@@ -189,52 +123,12 @@ def self_test():
     if flat != expect:
         print(f"self-test FAILURE: flatten produced {flat}, expected {expect}")
         return 1
-    # Per-policy rows: the same n appears once per policy, and the policy
-    # string joins the key so the counters gate independently.
-    policy_sample = {"sizes": [
-        {"n": 64, "policy": "max-weight", "p99_over_p50": 3.0},
-        {"n": 64, "policy": "ahm", "p99_over_p50": 2.0}]}
-    flat = dict(flatten(policy_sample))
-    expect = {"n64.max-weight.p99_over_p50": 3.0, "n64.ahm.p99_over_p50": 2.0}
-    if flat != expect:
-        print(f"self-test FAILURE: policy flatten produced {flat}, "
-              f"expected {expect}")
-        return 1
-    print("self-test: policy rows flatten with the policy in the key: "
-          "behaved")
     for candidate, tol, should_fail, label in checks:
         _, failures = compare(baseline, candidate, tol, [])
         if bool(failures) != should_fail:
             print(f"self-test FAILURE: {label}: failures={failures}")
             return 1
         print(f"self-test: {label}: behaved")
-    gap_checks = [
-        # (baseline path, candidate path, stated, should_refuse, label)
-        ("BENCH_8.json", "BENCH_9.json", False, False,
-         "adjacent artifacts compare by default"),
-        ("BENCH_5.json", "BENCH_5.json", False, False,
-         "identity comparison is never a gap"),
-        ("BENCH_6.json", "BENCH_9.json", False, True,
-         "non-adjacent artifacts are refused by default"),
-        ("BENCH_6.json", "BENCH_9.json", True, False,
-         "--baseline makes the gap a stated choice"),
-        ("old/BENCH_6.json", "/tmp/bench_serve.json", False, False,
-         "ad-hoc filenames carry no sequence position"),
-    ]
-    for base_path, cand_path, stated, should_refuse, label in gap_checks:
-        refused = adjacency_error(base_path, cand_path, stated) is not None
-        if refused != should_refuse:
-            print(f"self-test FAILURE: {label}: refused={refused}")
-            return 1
-        print(f"self-test: {label}: behaved")
-    if direction("n4096.allocs_per_slot") != "down":
-        print("self-test FAILURE: allocs_per_slot must gate lower-is-better")
-        return 1
-    print("self-test: allocs_per_slot gates lower-is-better: behaved")
-    if direction("n4096.max-weight.p99_over_p50") != "down":
-        print("self-test FAILURE: p99_over_p50 must gate lower-is-better")
-        return 1
-    print("self-test: p99_over_p50 gates lower-is-better: behaved")
     # Configuration metadata switched to shortest round-trip formatting
     # ("rate": 0.1, not 0.10000000000000001). Both spellings parse to the
     # same float when exact, and metadata never gates even when the
@@ -254,13 +148,9 @@ def main():
         prog="perf_compare", description=__doc__,
         formatter_class=argparse.RawDescriptionHelpFormatter)
     parser.add_argument("baseline", nargs="?",
-                        help="baseline BENCH_N.json (the committed artifact)")
+                        help="baseline JSON (the committed artifact)")
     parser.add_argument("candidate", nargs="?",
-                        help="freshly produced BENCH_N.json")
-    parser.add_argument("--baseline", dest="stated_baseline", metavar="PATH",
-                        help="baseline as a stated choice: required to "
-                             "compare non-adjacent BENCH_N.json artifacts "
-                             "(the sequence has gaps)")
+                        help="freshly produced JSON")
     parser.add_argument("--tolerance", type=float, default=0.10,
                         help="allowed fractional regression per counter "
                              "(default 0.10 = 10%%)")
@@ -274,25 +164,12 @@ def main():
 
     if args.self_test:
         return self_test()
-    # With --baseline PATH, the single positional is the candidate (argparse
-    # fills positionals left to right, so it lands in args.baseline).
-    if args.stated_baseline:
-        baseline_path = args.stated_baseline
-        candidate_path = args.candidate or args.baseline
-    else:
-        baseline_path, candidate_path = args.baseline, args.candidate
-    if not baseline_path or not candidate_path:
+    if not args.baseline or not args.candidate:
         parser.error("baseline and candidate files are required")
 
-    gap = adjacency_error(baseline_path, candidate_path,
-                          stated=bool(args.stated_baseline))
-    if gap:
-        print(f"perf_compare: {gap}", file=sys.stderr)
-        return 2
-
     try:
-        baseline = load_counters(baseline_path)
-        candidate = load_counters(candidate_path)
+        baseline = load_counters(args.baseline)
+        candidate = load_counters(args.candidate)
     except RuntimeError as e:
         print(f"perf_compare: {e}", file=sys.stderr)
         return 2

@@ -7,6 +7,7 @@
 #include <numeric>
 #include <sstream>
 
+#include "algorithms/weighted.hpp"
 #include "core/utility.hpp"
 #include "model/affectance.hpp"
 #include "model/sinr.hpp"
@@ -44,44 +45,15 @@ CapacityResult greedy_capacity(const Network& net, double beta,
           "greedy_capacity: tau must be in (0, 1]");
   LinkSet order = candidates.empty() ? all_links(net) : candidates;
   model::normalize_link_set(net, order);
-  if (options.sort_by_length && net.has_geometry()) {
-    std::stable_sort(order.begin(), order.end(), [&](LinkId a, LinkId b) {
-      return net.link(a).length() < net.link(b).length();
-    });
-  }
+  // Indicator weights make every candidate a weight tie, so the weighted
+  // greedy admits in the order this greedy is defined by: increasing length
+  // (when sort_by_length and the network has geometry), then id.
+  std::vector<double> weights(net.size(), 0.0);
+  for (LinkId i : order) weights[i] = 1.0;
 
   CapacityResult result;
   result.algorithm = "greedy(tau=" + tau_string(options.tau) + ")";
-  // in[j]: accumulated uncapped affectance on selected link j from the other
-  // selected links. A candidate i is admitted iff
-  //   (a) the affectance on i from the selected set stays <= tau, and
-  //   (b) no selected link's accumulated affectance exceeds tau after adding
-  //       i's contribution.
-  std::vector<double> in(net.size(), 0.0);
-  for (LinkId i : order) {
-    // Links that cannot even beat the noise alone can never be feasible.
-    if (net.signal(i) / beta <= net.noise()) continue;
-    double on_i = 0.0;
-    bool ok = true;
-    for (LinkId j : result.selected) {
-      on_i += model::affectance_raw(net, j, i, units::Threshold(beta));
-      if (on_i > options.tau) {
-        ok = false;
-        break;
-      }
-      if (in[j] + model::affectance_raw(net, i, j, units::Threshold(beta)) > options.tau) {
-        ok = false;
-        break;
-      }
-    }
-    if (!ok) continue;
-    for (LinkId j : result.selected) {
-      in[j] += model::affectance_raw(net, i, j, units::Threshold(beta));
-    }
-    in[i] = on_i;
-    result.selected.push_back(i);
-  }
-  std::sort(result.selected.begin(), result.selected.end());
+  WeightedGreedyOracle(net, beta).compute(weights, result.selected, options);
   // tau <= 1 certifies feasibility; verify the invariant in debug builds.
   assert(model::is_feasible(net, result.selected, units::Threshold(beta)));
   result.value = static_cast<double>(result.selected.size());

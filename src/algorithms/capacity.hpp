@@ -48,12 +48,16 @@ struct GreedyOptions {
   /// rejected.
   double tau = 1.0;
   /// If true, process links in order of increasing length (the standard
-  /// shortest-first rule); if false, keep input order.
+  /// shortest-first rule; networks without geometry ignore it), ties by id;
+  /// if false, in id order. The weighted greedy applies the same order to
+  /// break weight ties.
   bool sort_by_length = true;
 };
 
 /// Affectance-bounded greedy on the network's current power assignment.
-/// Considers only links in `candidates` (all links if empty). O(n^2).
+/// Considers only links in `candidates` (all links if empty; ids are
+/// validated, duplicates ignored). It is WeightedGreedyOracle::compute with
+/// weight 1 on every candidate and 0 elsewhere. O(n^2).
 [[nodiscard]] CapacityResult greedy_capacity(const model::Network& net,
                                              double beta,
                                              const model::LinkSet& candidates = {},

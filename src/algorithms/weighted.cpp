@@ -84,15 +84,16 @@ void WeightedGreedyOracle::compute(const std::vector<double>& weights,
 
   // Zero-weight links are worthless and never admitted, so only the
   // nonzero-weight candidates are ordered: by decreasing weight, ties by
-  // increasing length (geometry), then by id. The id key makes the order
-  // total, so std::sort yields exactly the permutation a stable sort of the
-  // ascending-id list would, without stable_sort's temporary buffer (one
-  // allocation per call). O(m log m) for m backlogged links.
+  // increasing length (sort_by_length, geometry only), then by id. The id
+  // key makes the order total, so std::sort yields exactly the permutation
+  // a stable sort of the ascending-id list would, without stable_sort's
+  // temporary buffer (one allocation per call). O(m log m) for m
+  // backlogged links.
   order_scratch_.clear();
   for (LinkId i = 0; i < n; ++i) {
     if (!util::fp::exact_zero(weights[i])) order_scratch_.push_back(i);
   }
-  const bool by_length = !length_.empty();
+  const bool by_length = options.sort_by_length && !length_.empty();
   std::sort(order_scratch_.begin(), order_scratch_.end(),
             [&](LinkId a, LinkId b) {
               if (weights[a] != weights[b]) return weights[a] > weights[b];

@@ -22,10 +22,10 @@ struct WeightedCapacityResult {
   std::string algorithm;
 };
 
-/// Weight-aware greedy: candidates ordered by decreasing weight (ties by
-/// increasing length), admitted under the same uncapped-affectance budget as
-/// greedy_capacity, so the output is SINR-feasible at beta. One-shot form of
-/// WeightedGreedyOracle::compute.
+/// Weight-aware greedy: candidates ordered by decreasing weight (ties as
+/// GreedyOptions::sort_by_length orders them), admitted under the same
+/// uncapped-affectance budget as greedy_capacity, so the output is
+/// SINR-feasible at beta. One-shot form of WeightedGreedyOracle::compute.
 [[nodiscard]] WeightedCapacityResult weighted_greedy_capacity(
     const model::Network& net, double beta, const std::vector<double>& weights,
     const GreedyOptions& options = {});
@@ -58,10 +58,11 @@ class WeightedGreedyOracle {
   [[nodiscard]] double affectance(model::LinkId sender,
                                   model::LinkId receiver) const;
 
-  /// Candidates in decreasing weight order (ties by increasing length, or
-  /// id without geometry) are admitted while the uncapped-affectance budget
-  /// tau holds for every selected link; `selected` is overwritten with the
-  /// chosen set in ascending id order.
+  /// Candidates in decreasing weight order (ties by increasing length when
+  /// options.sort_by_length and the network has geometry, then by id) are
+  /// admitted while the uncapped-affectance budget tau holds for every
+  /// selected link; `selected` is overwritten with the chosen set in
+  /// ascending id order.
   void compute(const std::vector<double>& weights, model::LinkSet& selected,
                const GreedyOptions& options = {});
   [[nodiscard]] WeightedCapacityResult compute(

@@ -96,10 +96,4 @@ const ScheduleRequest& ScheduleAgent::pending_request() const {
   return request_;
 }
 
-const std::vector<double>& ScheduleAgent::pending_weights() const {
-  require(in_flight_,
-          "ScheduleAgent::pending_weights: no recompute in flight");
-  return request_.weights;
-}
-
 }  // namespace raysched::serve

@@ -105,9 +105,6 @@ class ScheduleAgent {
 
   /// The in-flight request, for snapshotting a mid-flight service.
   [[nodiscard]] const ScheduleRequest& pending_request() const;
-  /// The in-flight request's weights (shorthand kept for callers that only
-  /// care about the weight payload).
-  [[nodiscard]] const std::vector<double>& pending_weights() const;
 
  private:
   const model::Network& net_;

@@ -81,8 +81,8 @@ serve::ServeConfig steady_config(core::Propagation propagation) {
   config.traffic.mean_rate = 0.3;
   config.queue_cap = 256;
   // One recompute during warm-up, then quiescent: the steady-state loop is
-  // pure serving. The async submit path allocates by design and is
-  // measured separately (bench/perf_serve.cpp allocs_per_slot).
+  // pure serving. The recompute path still allocates; the
+  // RecomputeSlots* pins below bound it.
   config.recompute_period = 1'000'000;
   config.agent_threads = 1;
   return config;
@@ -116,6 +116,53 @@ TEST(HotPathAllocs, SteadyStateSlotLoopNonFading) {
 
 TEST(HotPathAllocs, SteadyStateSlotLoopRayleigh) {
   expect_zero_alloc_slots(core::Propagation::Rayleigh);
+}
+
+// Recompute every slot, inline agent: an upper bound on the allocations
+// of run(256) after a 64-slot warm-up, for each policy and propagation.
+// The bound is the count measured when the pin was set, so one more
+// allocation per recompute fails it. The known sources (none is free yet):
+//   * the ScheduleRequest built per submit, taken by value and copied
+//     into the agent's task;
+//   * the pool's std::function task;
+//   * RecomputeOutcome::schedule and its `what` string;
+//   * per-call vectors in the AHM policy;
+//   * adoption and pruning of the new schedule.
+// Lower a pin when a source goes away; never raise one.
+std::uint64_t recompute_run_allocs(serve::PolicyKind policy,
+                                   core::Propagation propagation) {
+  serve::ServeConfig config = steady_config(propagation);
+  config.policy = policy;
+  config.recompute_period = 1;
+  serve::Service service(paper_network(64, 77), config);
+  (void)service.run(64);
+  const std::uint64_t base = alloc_count();
+  (void)service.run(256);
+  return alloc_count() - base;
+}
+
+TEST(HotPathAllocs, RecomputeSlotsMaxWeightNonFading) {
+  EXPECT_LE(recompute_run_allocs(serve::PolicyKind::MaxWeight,
+                                 core::Propagation::NonFading),
+            2902u);
+}
+
+TEST(HotPathAllocs, RecomputeSlotsMaxWeightRayleigh) {
+  EXPECT_LE(recompute_run_allocs(serve::PolicyKind::MaxWeight,
+                                 core::Propagation::Rayleigh),
+            2854u);
+}
+
+TEST(HotPathAllocs, RecomputeSlotsAhmNonFading) {
+  EXPECT_LE(recompute_run_allocs(serve::PolicyKind::Ahm,
+                                 core::Propagation::NonFading),
+            3081u);
+}
+
+TEST(HotPathAllocs, RecomputeSlotsAhmRayleigh) {
+  EXPECT_LE(recompute_run_allocs(serve::PolicyKind::Ahm,
+                                 core::Propagation::Rayleigh),
+            3116u);
 }
 
 // The work of a max-weight recompute: the greedy oracle over

@@ -51,9 +51,32 @@ TEST(WeightedGreedy, UnitWeightsBehaveLikeCardinality) {
   const auto weighted = weighted_greedy_capacity(net, 2.5, ones);
   EXPECT_DOUBLE_EQ(weighted.value,
                    static_cast<double>(weighted.selected.size()));
-  // Not necessarily the same set as greedy_capacity (different sort key),
-  // but the same feasibility guarantee.
   EXPECT_TRUE(model::is_feasible(net, weighted.selected, units::Threshold(2.5)));
+}
+
+// With every weight equal, the weight order is all ties, so the weighted
+// greedy orders exactly like greedy_capacity: by length when
+// sort_by_length is set, by id when it is not.
+TEST(WeightedGreedy, UnitWeightsMatchGreedyCapacityUnderBothOrders) {
+  int orders_differ = 0;
+  for (std::uint64_t seed = 0; seed < 20; ++seed) {
+    auto net = paper_network(60, seed);
+    const std::vector<double> ones(net.size(), 1.0);
+    LinkSet by_order[2];
+    for (const bool sort_by_length : {false, true}) {
+      GreedyOptions options;
+      options.sort_by_length = sort_by_length;
+      by_order[sort_by_length] =
+          greedy_capacity(net, 2.5, {}, options).selected;
+      EXPECT_EQ(weighted_greedy_capacity(net, 2.5, ones, options).selected,
+                by_order[sort_by_length])
+          << "seed " << seed << " sort_by_length " << sort_by_length;
+    }
+    if (by_order[0] != by_order[1]) ++orders_differ;
+  }
+  // greedy_capacity runs on the weighted greedy, so the equality alone
+  // cannot see the option being ignored: the two orders must also differ.
+  EXPECT_GT(orders_differ, 0);
 }
 
 TEST(WeightedGreedy, ValidatesWeights) {
