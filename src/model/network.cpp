@@ -105,6 +105,26 @@ void Network::set_powers(const std::vector<double>& new_powers) {
   }
 }
 
+void Network::assign_restriction(const Network& parent,
+                                 std::span<const LinkId> ids) {
+  require(&parent != this, "Network::assign_restriction: parent is target");
+  for (LinkId id : ids) {
+    require(id < parent.n_, "Network::assign_restriction: id out of range");
+  }
+  const std::size_t m = ids.size();
+  n_ = m;
+  links_.clear();
+  powers_.clear();
+  alpha_ = 0.0;
+  noise_ = parent.noise_;
+  gains_.resize(m * m);
+  for (std::size_t a = 0; a < m; ++a) {
+    const double* row = parent.gains_.data() + ids[a] * parent.n_;
+    double* out = gains_.data() + a * m;
+    for (std::size_t b = 0; b < m; ++b) out[b] = row[ids[b]];
+  }
+}
+
 double Network::length_ratio() const {
   require(has_geometry(), "Network::length_ratio: requires geometry");
   double lo = std::numeric_limits<double>::infinity();

@@ -95,6 +95,14 @@ class Network {
   /// Ratio Delta = max link length / min link length (geometric networks).
   [[nodiscard]] double length_ratio() const;
 
+  /// Makes this network the restriction of `parent` to `ids`: a
+  /// geometry-free network of |ids| links with mean_gain(a, b) ==
+  /// parent.mean_gain(ids[a], ids[b]) bit for bit and the parent's noise.
+  /// Every id is validated before the first read; an empty `ids` leaves
+  /// an empty network. Reuses this network's storage, so refilling a
+  /// warmed-up target allocates nothing. `parent` must not be *this.
+  void assign_restriction(const Network& parent, std::span<const LinkId> ids);
+
  private:
   std::size_t n_ = 0;
   std::vector<Link> links_;

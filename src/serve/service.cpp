@@ -45,7 +45,9 @@ Service::Service(model::Network net, const ServeConfig& config)
       traffic_(config.traffic, net_.size()),
       agent_(net_, config.beta, config.agent_threads, config.policy,
              PolicyOptions{config.ahm, config.master_seed}),
-      monitor_(config.health) {
+      monitor_(config.health),
+      // A one-link stand-in; rebuild_block() below refills it.
+      block_(1, std::vector<double>{1.0}, net_.noise_power()) {
   require(config_.queue_cap >= 1, "Service: queue_cap must be >= 1");
   require(config_.recompute_period >= 1,
           "Service: recompute_period must be >= 1");
@@ -68,6 +70,7 @@ Service::Service(model::Network net, const ServeConfig& config)
   departed_flags_.assign(net_.size(), 0);
   feedback_attempt_.assign(net_.size(), 0);
   feedback_success_.assign(net_.size(), 0);
+  rebuild_block();
 }
 
 std::uint64_t Service::total_backlog() const {
@@ -281,6 +284,7 @@ void Service::manage_recompute(std::uint64_t slot) {
         }
         outcome.schedule.resize(kept);
         schedule_ = std::move(outcome.schedule);
+        rebuild_block();
         expected_rate_ = outcome.expected_rate;
         ++schedule_epoch_;
         schedule_stale_ = false;
@@ -316,14 +320,24 @@ void Service::manage_recompute(std::uint64_t slot) {
   }
 }
 
+bool Service::decides_on_block() const {
+  // Max-weight non-fading sets are feasibility-certified and need no
+  // evaluation; every other combination decides its live subset.
+  return config_.propagation != core::Propagation::NonFading ||
+         agent_.policy().kind() == PolicyKind::Ahm;
+}
+
+void Service::rebuild_block() {
+  if (decides_on_block()) block_.assign_restriction(net_, schedule_);
+}
+
 // raysched:hot
 std::uint64_t Service::serve_slot(std::uint64_t slot) {
   if (monitor_.state() == HealthState::Quarantined || schedule_.empty()) {
     return 0;
   }
   std::uint64_t served = 0;
-  const bool certified = agent_.policy().kind() != PolicyKind::Ahm;
-  if (config_.propagation == core::Propagation::NonFading && certified) {
+  if (!decides_on_block()) {
     // Max-weight scheduled sets are feasibility-certified: every live
     // service succeeds. Links that left after adoption are skipped.
     for (model::LinkId i : schedule_) {
@@ -334,41 +348,37 @@ std::uint64_t Service::serve_slot(std::uint64_t slot) {
         ++served;
       }
     }
-  } else if (config_.propagation == core::Propagation::NonFading) {
-    // AHM samples sets that carry no feasibility certificate: evaluate the
-    // deterministic SINR of the live subset and serve only links that
-    // clear beta — the success/failure signal the probabilities feed on.
-    model::LinkSet& live = live_scratch_;
-    live.clear();
-    for (model::LinkId i : schedule_) {
-      if (active_[i] != 0 && queue_[i] > 0) live.push_back(i);
-    }
-    if (!live.empty()) {
-      model::sinr_nonfading_all(net_, live, sinr_scratch_);
-      for (std::size_t a = 0; a < live.size(); ++a) {
-        feedback_attempt_[live[a]] = 1;
-        if (sinr_scratch_[a] >= config_.beta.value()) {
-          feedback_success_[live[a]] = 1;
-          --queue_[live[a]];
-          ++served;
-        }
-      }
-    }
   } else {
+    // Decide the live subset on the schedule's gain block: `live` holds
+    // positions in schedule_, and block_ entry (a, b) is the mean gain from
+    // schedule_[a] to schedule_[b], so the kernels read the same gains in
+    // the same order as on the full network. AHM non-fading serves the
+    // links whose deterministic SINR clears beta — the success/failure
+    // signal its probabilities feed on; Rayleigh draws one realization.
     model::LinkSet& live = live_scratch_;
     live.clear();
-    for (model::LinkId i : schedule_) {
-      if (active_[i] != 0 && queue_[i] > 0) live.push_back(i);
+    for (std::size_t a = 0; a < schedule_.size(); ++a) {
+      const model::LinkId i = schedule_[a];
+      if (active_[i] != 0 && queue_[i] > 0) live.push_back(a);
     }
     if (!live.empty()) {
-      util::RngStream rng = master_.derive(kFadingTag, slot);
-      model::rayleigh_successes(net_, live, config_.beta, rng,
-                                success_scratch_);
+      std::vector<char>& ok = success_scratch_;
+      if (config_.propagation == core::Propagation::NonFading) {
+        model::sinr_nonfading_all(block_, live, sinr_scratch_);
+        ok.resize(live.size());
+        for (std::size_t a = 0; a < live.size(); ++a) {
+          ok[a] = sinr_scratch_[a] >= config_.beta.value() ? 1 : 0;
+        }
+      } else {
+        util::RngStream rng = master_.derive(kFadingTag, slot);
+        model::rayleigh_successes(block_, live, config_.beta, rng, ok);
+      }
       for (std::size_t a = 0; a < live.size(); ++a) {
-        feedback_attempt_[live[a]] = 1;
-        if (success_scratch_[a] != 0) {
-          feedback_success_[live[a]] = 1;
-          --queue_[live[a]];
+        const model::LinkId i = schedule_[live[a]];
+        feedback_attempt_[i] = 1;
+        if (ok[a] != 0) {
+          feedback_success_[i] = 1;
+          --queue_[i];
           ++served;
         }
       }
@@ -569,11 +579,19 @@ void Service::restore(const ServeSnapshot& snap) {
   require_code(snap_policy == agent_.policy().kind(),
                ErrorCode::SnapshotFormat,
                "Service::restore: schedule policy mismatch");
-  require_code(snap.departed_flags.size() == net_.size() &&
+  require_code(snap.queues.size() == net_.size() &&
+                   snap.active.size() == net_.size() &&
+                   snap.departed_flags.size() == net_.size() &&
                    snap.feedback_attempt.size() == net_.size() &&
                    snap.feedback_success.size() == net_.size(),
                ErrorCode::SnapshotFormat,
-               "Service::restore: flag vector size mismatch");
+               "Service::restore: per-link vector size mismatch");
+  require_code(std::all_of(snap.schedule.begin(), snap.schedule.end(),
+                           [this](model::LinkId id) {
+                             return id < net_.size();
+                           }),
+               ErrorCode::SnapshotFormat,
+               "Service::restore: schedule id out of range");
   // A corrupt counter or queue digit fails here instead of surfacing as a
   // conservation violation blamed on the service. Saturating sums keep
   // hostile counters from wrapping into a match.
@@ -605,6 +623,7 @@ void Service::restore(const ServeSnapshot& snap) {
   schedule_epoch_ = snap.schedule_epoch;
   schedule_stale_ = snap.schedule_stale;
   schedule_ = snap.schedule;
+  rebuild_block();
   queue_ = snap.queues;
   active_ = snap.active;
   traffic_.set_burst_state(snap.burst_state);

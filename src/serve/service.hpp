@@ -202,6 +202,11 @@ class Service {
   void manage_recompute(std::uint64_t slot);
   void submit_recompute(std::uint64_t slot);
   std::uint64_t serve_slot(std::uint64_t slot);
+  /// False only on the feasibility-certified max-weight non-fading path,
+  /// which serves without evaluating the set and never builds block_.
+  [[nodiscard]] bool decides_on_block() const;
+  /// Refills block_ from schedule_; called wherever schedule_ is assigned.
+  void rebuild_block();
   [[nodiscard]] std::uint64_t total_backlog() const;
   void bump_backoff(std::uint64_t slot);
   void digest_slot(const SlotDigest& digest);
@@ -217,6 +222,11 @@ class Service {
   std::vector<std::uint64_t> queue_;
   std::vector<char> active_;
   model::LinkSet schedule_;
+  // The schedule's gain block: the restriction of net_ to schedule_, so
+  // entry (a, b) is net_.mean_gain(schedule_[a], schedule_[b]). Slots
+  // decide on these |schedule|^2 gains instead of reading n-wide columns
+  // of net_. Its storage is reused across adoptions.
+  model::Network block_;
   std::uint64_t schedule_epoch_ = 0;
   bool schedule_stale_ = false;
 
@@ -265,9 +275,9 @@ class Service {
   // names from its hot-region allocation rules (RS-M1, RS-M3).
   std::vector<FaultEvent> slot_events_;             // fault events, per slot
   std::vector<std::uint32_t> arrivals_scratch_;     // per-link arrivals
-  model::LinkSet live_scratch_;                     // servable schedule subset
+  model::LinkSet live_scratch_;                     // live schedule positions
   std::vector<double> sinr_scratch_;                // non-fading SINRs
-  std::vector<char> success_scratch_;               // Rayleigh decisions
+  std::vector<char> success_scratch_;               // per-live decisions
   std::vector<model::LinkId> churn_scratch_;        // burst victim candidates
 };
 

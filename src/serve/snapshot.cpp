@@ -2,9 +2,7 @@
 
 #include <cmath>
 #include <fstream>
-#include <iomanip>
 #include <istream>
-#include <limits>
 #include <ostream>
 
 #include "util/error.hpp"
@@ -24,6 +22,20 @@ constexpr std::uint64_t kVersion = 2;
 constexpr std::size_t kMaxLinks = 100'000'000;
 
 int bit(char flag) { return flag ? 1 : 0; }
+
+/// Writes " v" per value, then a newline.
+template <class... Ts>
+void end_line(std::ostream& os, Ts... values) {
+  ((os.put(' '), util::write_number(os, values)), ...);
+  os.put('\n');
+}
+
+/// Writes "<key> v1 ... vk" and a newline.
+template <class... Ts>
+void write_line(std::ostream& os, const char* key, Ts... values) {
+  os << key;
+  end_line(os, values...);
+}
 
 }  // namespace
 
@@ -57,28 +69,27 @@ void write_snapshot(std::ostream& os, const ServeSnapshot& snap) {
     return v;
   };
 
-  os << std::setprecision(std::numeric_limits<double>::max_digits10);
-  os << "raysched-serve-snapshot " << kVersion << "\n";
-  os << "seed " << snap.master_seed << "\n";
-  os << "links " << n << "\n";
-  os << "beta " << snap.beta << "\n";
+  write_line(os, "raysched-serve-snapshot", kVersion);
+  write_line(os, "seed", snap.master_seed);
+  write_line(os, "links", n);
+  write_line(os, "beta", snap.beta);
   os << "propagation " << snap.propagation << "\n";
   os << "traffic " << snap.traffic_model << "\n";
   os << "policy " << snap.policy << "\n";
-  os << "slot " << snap.next_slot << "\n";
-  os << "health " << to_string(snap.health.state) << " "
-     << snap.health.poison_streak << " " << snap.health.clean_slots << " "
-     << bit(snap.health.quarantine_latch) << " "
-     << bit(snap.health.overload_latch) << "\n";
-  os << "counters " << snap.arrivals_total << " " << snap.admitted_total
-     << " " << snap.served_total << "\n";
-  os << "drops " << snap.dropped_capacity << " " << snap.dropped_shed << " "
-     << snap.dropped_churn << " " << snap.dropped_quarantine << " "
-     << snap.stale_pruned << "\n";
-  os << "recompute-stats " << snap.recompute_timeouts << " "
-     << snap.recompute_failures << " " << snap.recompute_adoptions << "\n";
-  os << "epoch " << snap.schedule_epoch << " stale "
-     << bit(snap.schedule_stale) << "\n";
+  write_line(os, "slot", snap.next_slot);
+  os << "health " << to_string(snap.health.state);
+  end_line(os, snap.health.poison_streak, snap.health.clean_slots,
+           bit(snap.health.quarantine_latch), bit(snap.health.overload_latch));
+  write_line(os, "counters", snap.arrivals_total, snap.admitted_total,
+             snap.served_total);
+  write_line(os, "drops", snap.dropped_capacity, snap.dropped_shed,
+             snap.dropped_churn, snap.dropped_quarantine, snap.stale_pruned);
+  write_line(os, "recompute-stats", snap.recompute_timeouts,
+             snap.recompute_failures, snap.recompute_adoptions);
+  os << "epoch ";
+  util::write_number(os, snap.schedule_epoch);
+  os << " stale";
+  end_line(os, bit(snap.schedule_stale));
   util::write_list(os, "schedule", snap.schedule, id_below_n);
   util::write_list(os, "queues", snap.queues);
   util::write_list(os, "active", snap.active, bit);
@@ -93,24 +104,27 @@ void write_snapshot(std::ostream& os, const ServeSnapshot& snap) {
                  ErrorCode::SnapshotFormat,
                  "write_snapshot: in-flight weights must have size n and "
                  "feedback flags must align");
-    os << "inflight 1 " << rc.submit_slot << " " << rc.latency_slots << " "
-       << bit(rc.timed_out) << " " << bit(rc.poisoned) << "\n";
+    write_line(os, "inflight", 1, rc.submit_slot, rc.latency_slots,
+               bit(rc.timed_out), bit(rc.poisoned));
     util::write_list(os, "weights", rc.weights, finite);
     util::write_list(os, "inflight-departed", rc.departed, id_below_n);
     // Feedback as (id, success) pairs, aligned by construction.
-    os << "inflight-feedback " << rc.feedback_schedule.size() << " :";
+    os << "inflight-feedback ";
+    util::write_number(os, rc.feedback_schedule.size());
+    os << " :";
     for (std::size_t k = 0; k < rc.feedback_schedule.size(); ++k) {
-      os << " " << id_below_n(rc.feedback_schedule[k]) << " "
-         << bit(rc.feedback_success[k]);
+      os.put(' ');
+      util::write_number(os, id_below_n(rc.feedback_schedule[k]));
+      os.put(' ');
+      util::write_number(os, bit(rc.feedback_success[k]));
     }
-    os << "\n";
+    os.put('\n');
   } else {
     os << "inflight 0\n";
   }
-  os << "backoff " << snap.backoff_slots << " " << snap.cooldown_until
-     << "\n";
-  os << "faultstate " << snap.pending_extra_latency << " "
-     << bit(snap.poison_active) << "\n";
+  write_line(os, "backoff", snap.backoff_slots, snap.cooldown_until);
+  write_line(os, "faultstate", snap.pending_extra_latency,
+             bit(snap.poison_active));
   util::write_list(os, "policy-state", snap.policy_state, finite);
   os << "end\n";
   require_code(static_cast<bool>(os), ErrorCode::SnapshotIo,

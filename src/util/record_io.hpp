@@ -11,6 +11,9 @@
 //     locale-free and rejects partial tokens ("12x", "0x1p3"), any sign on
 //     an unsigned value ("-1", "+1"), a leading '+' on a double, hex
 //     floats, overflow, and non-finite doubles ("inf", "nan").
+//   * write_number and write_list format with std::to_chars into a stack
+//     buffer: integers in decimal, doubles as "%.17g", the same bytes a
+//     stream at setprecision(max_digits10) prints.
 //   * Every read failure throws coded_error{code} with the reader's context
 //     in front ("[snapshot-format] read_snapshot: bad queue length '-1'").
 //   * A counted list checks its count against the caller's bound before it
@@ -20,14 +23,17 @@
 //     is fsynced, so a power loss can still lose or tear the file.
 #pragma once
 
+#include <charconv>
 #include <cstddef>
 #include <cstdint>
 #include <functional>
 #include <iosfwd>
+#include <limits>
 #include <optional>
 #include <ostream>
 #include <string>
 #include <string_view>
+#include <type_traits>
 #include <vector>
 
 #include "util/error.hpp"
@@ -103,13 +109,35 @@ class TokenReader {
   std::string token_;  ///< reused, so numeric fields do not allocate
 };
 
-/// Writes "<name> <k> :", then " <to_text(v)>" per value, then a newline.
-template <class Range, class ToText>
+/// Writes one number in the codec's grammar with std::to_chars: integers
+/// in decimal, doubles as printf's "%.17g" (max_digits10, so they read
+/// back exactly). Locale-free and allocation-free.
+template <class T>
+void write_number(std::ostream& os, T v) {
+  static_assert(std::is_arithmetic_v<T>, "write_number: not a number");
+  char buf[32];
+  std::to_chars_result r{};
+  if constexpr (std::is_floating_point_v<T>) {
+    r = std::to_chars(buf, buf + sizeof buf, v, std::chars_format::general,
+                      std::numeric_limits<T>::max_digits10);
+  } else {
+    r = std::to_chars(buf, buf + sizeof buf, v);
+  }
+  os.write(buf, r.ptr - buf);
+}
+
+/// Writes "<name> <k> :", then " <to_number(v)>" per value, then a newline.
+template <class Range, class ToNumber>
 void write_list(std::ostream& os, const char* name, const Range& values,
-                ToText to_text) {
-  os << name << ' ' << values.size() << " :";
-  for (const auto& v : values) os << ' ' << to_text(v);
-  os << '\n';
+                ToNumber to_number) {
+  os << name << ' ';
+  write_number(os, values.size());
+  os.write(" :", 2);
+  for (const auto& v : values) {
+    os.put(' ');
+    write_number(os, to_number(v));
+  }
+  os.put('\n');
 }
 
 template <class Range>

@@ -2,8 +2,8 @@
 // checks lexically: after warm-up, the steady-state serving slot loop, the
 // max-weight recompute (oracle compute plus Theorem-1 pricing), the
 // kernel's incremental update_link, the out-buffer sinr_rayleigh_all and
-// rayleigh_successes, and count_successes_rayleigh perform ZERO heap
-// allocations. The counting operator new below is
+// rayleigh_successes, count_successes_rayleigh and a refilled
+// Network::assign_restriction perform ZERO heap allocations. The counting operator new below is
 // program-wide for this binary but purely passive (it forwards to malloc
 // and only bumps an atomic), so coexisting tests are unaffected; ctest
 // runs each test in its own process, so the counter sees only this file's
@@ -88,8 +88,12 @@ serve::ServeConfig steady_config(core::Propagation propagation) {
   return config;
 }
 
-void expect_zero_alloc_slots(core::Propagation propagation) {
-  serve::Service service(paper_network(16, 77), steady_config(propagation));
+void expect_zero_alloc_slots(
+    core::Propagation propagation,
+    serve::PolicyKind policy = serve::PolicyKind::MaxWeight) {
+  serve::ServeConfig config = steady_config(propagation);
+  config.policy = policy;
+  serve::Service service(paper_network(16, 77), config);
 
   // Warm-up: scratch buffers reach their fixed capacities, the first
   // recompute is adopted, every queue has seen traffic.
@@ -116,6 +120,13 @@ TEST(HotPathAllocs, SteadyStateSlotLoopNonFading) {
 
 TEST(HotPathAllocs, SteadyStateSlotLoopRayleigh) {
   expect_zero_alloc_slots(core::Propagation::Rayleigh);
+}
+
+// AHM sets carry no feasibility certificate, so every quiet slot decides
+// its live subset on the schedule's gain block.
+TEST(HotPathAllocs, SteadyStateSlotLoopAhmRayleigh) {
+  expect_zero_alloc_slots(core::Propagation::Rayleigh,
+                          serve::PolicyKind::Ahm);
 }
 
 // Recompute every slot, inline agent: an upper bound on the allocations
@@ -249,6 +260,24 @@ TEST(HotPathAllocs, RayleighSuccessesReusesCapacity) {
       << "out-buffer rayleigh_successes allocated after warm-up";
   EXPECT_EQ(ok.size(), active.size());
   EXPECT_GT(wins, 0u);
+}
+
+// The serve loop refills one gain block per adopted schedule: once it has
+// held the largest set, refilling it with any set allocates nothing.
+TEST(HotPathAllocs, RestrictionReusesStorage) {
+  const model::Network net = paper_network(64, 10);
+  model::LinkSet ids;
+  for (model::LinkId i = 0; i < 40; ++i) ids.push_back((i * 7) % 64);
+  model::Network block = paper_network(2, 1);
+  block.assign_restriction(net, ids);  // warm: the largest block
+
+  const std::uint64_t base = alloc_count();
+  for (std::size_t m = 1; m <= ids.size(); m += 3) {
+    block.assign_restriction(net, std::span(ids.data(), m));
+    block.assign_restriction(net, ids);
+  }
+  EXPECT_EQ(alloc_count(), base) << "assign_restriction allocated";
+  EXPECT_EQ(block.size(), ids.size());
 }
 
 // count_successes_rayleigh decides without materializing the realization:

@@ -125,6 +125,70 @@ TEST(Network, LengthRatio) {
   EXPECT_DOUBLE_EQ(net.length_ratio(), 4.0);
 }
 
+TEST(Network, RestrictionCopiesGainsBitForBit) {
+  const Network parent = raysched::testing::paper_network(40, 3);
+  Network block = raysched::testing::hand_matrix_network();
+  const LinkSet ids = {17, 5, 39, 2};  // set order, not id order
+  block.assign_restriction(parent, ids);
+  ASSERT_EQ(block.size(), ids.size());
+  EXPECT_FALSE(block.has_geometry());
+  EXPECT_EQ(block.alpha(), 0.0);
+  EXPECT_EQ(block.noise(), parent.noise());
+  for (std::size_t a = 0; a < ids.size(); ++a) {
+    EXPECT_EQ(block.power(a), 1.0);
+    for (std::size_t b = 0; b < ids.size(); ++b) {
+      EXPECT_EQ(block.mean_gain(a, b), parent.mean_gain(ids[a], ids[b]))
+          << "entry (" << a << ", " << b << ")";
+    }
+  }
+}
+
+TEST(Network, RestrictionDecidesLikeTheParent) {
+  // The slot kernels read the same gains in the same order on the block
+  // (positions) as on the parent (ids): same decisions, same RNG state.
+  const Network parent = raysched::testing::paper_network(64, 8);
+  LinkSet ids;
+  for (LinkId i = 3; i < 64; i += 5) ids.push_back(i);
+  Network block = raysched::testing::hand_matrix_network();
+  block.assign_restriction(parent, ids);
+  LinkSet positions(ids.size());
+  for (std::size_t a = 0; a < ids.size(); ++a) positions[a] = a;
+
+  EXPECT_EQ(sinr_nonfading_all(block, positions),
+            sinr_nonfading_all(parent, ids));
+  for (std::uint64_t seed = 1; seed <= 20; ++seed) {
+    util::RngStream on_parent(seed);
+    util::RngStream on_block(seed);
+    std::vector<char> ok_parent;
+    std::vector<char> ok_block;
+    (void)rayleigh_successes(parent, ids, units::Threshold(0.5), on_parent,
+                             ok_parent);
+    (void)rayleigh_successes(block, positions, units::Threshold(0.5),
+                             on_block, ok_block);
+    EXPECT_EQ(ok_block, ok_parent) << "seed " << seed;
+    EXPECT_EQ(on_block.next_u64(), on_parent.next_u64()) << "seed " << seed;
+  }
+}
+
+TEST(Network, RestrictionValidatesEveryIdBeforeReading) {
+  const Network parent = raysched::testing::paper_network(10, 4);
+  Network block = raysched::testing::hand_matrix_network();
+  const LinkSet bad = {1, 2, 10};
+  EXPECT_THROW(block.assign_restriction(parent, bad), raysched::error);
+  // Refused before anything changed.
+  EXPECT_EQ(block.size(), 3u);
+  EXPECT_EQ(block.mean_gain(1, 0), 2.0);
+  EXPECT_THROW(block.assign_restriction(block, LinkSet{0}), raysched::error);
+}
+
+TEST(Network, RestrictionToEmptySetIsEmpty) {
+  const Network parent = raysched::testing::paper_network(10, 4);
+  Network block = raysched::testing::hand_matrix_network();
+  block.assign_restriction(parent, LinkSet{});
+  EXPECT_EQ(block.size(), 0u);
+  EXPECT_EQ(block.noise(), parent.noise());
+}
+
 TEST(Generator, RandomPlaneRespectsParameters) {
   util::RngStream rng(5);
   RandomPlaneParams params;

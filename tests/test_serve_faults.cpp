@@ -311,16 +311,53 @@ TEST(ServeFaults, RayleighServiceIsDeterministicToo) {
   EXPECT_GT(ra.served, 0u);
 }
 
-TEST(ServeFaults, MaxWeightFaultGauntletMatchesGolden) {
-  // The max-weight trajectory through the full fault gauntlet (delay,
-  // poison, churn burst), pinned to the hash and served count captured
-  // when the priced and the unpriced max-weight were still two policies.
+/// 400 slots through the full fault gauntlet (delay, poison, churn burst).
+ServeReport run_gauntlet(PolicyKind policy, core::Propagation propagation) {
   ServeConfig config = base_config();
   config.faults = FaultScript::parse(kFaultSpec);
-  config.policy = PolicyKind::MaxWeight;
+  config.policy = policy;
+  config.propagation = propagation;
   Service service(serve_network(), config);
-  const ServeReport report = service.run(400);
+  return service.run(400);
+}
+
+TEST(ServeFaults, MaxWeightFaultGauntletMatchesGolden) {
+  // Pinned to the hash and served count captured when the priced and the
+  // unpriced max-weight were still two policies.
+  const ServeReport report =
+      run_gauntlet(PolicyKind::MaxWeight, core::Propagation::NonFading);
   EXPECT_EQ(report.trajectory_hash, 0xdcb15a5dc3e995bcu)
+      << std::hex << report.trajectory_hash;
+  EXPECT_EQ(report.served, 1464u);
+  EXPECT_TRUE(report.conservation_ok);
+}
+
+// The three paths that decide slots by evaluating the served set, pinned
+// to the hashes and served counts captured while the slot loop still read
+// the full network's gain matrix. A change that alters every run the same
+// way passes the run-against-run tests above but not these.
+TEST(ServeFaults, AhmRayleighFaultGauntletMatchesGolden) {
+  const ServeReport report =
+      run_gauntlet(PolicyKind::Ahm, core::Propagation::Rayleigh);
+  EXPECT_EQ(report.trajectory_hash, 0x9fbcf2111ef34117u)
+      << std::hex << report.trajectory_hash;
+  EXPECT_EQ(report.served, 1446u);
+  EXPECT_TRUE(report.conservation_ok);
+}
+
+TEST(ServeFaults, MaxWeightRayleighFaultGauntletMatchesGolden) {
+  const ServeReport report =
+      run_gauntlet(PolicyKind::MaxWeight, core::Propagation::Rayleigh);
+  EXPECT_EQ(report.trajectory_hash, 0xa3b35cfbd8a96789u)
+      << std::hex << report.trajectory_hash;
+  EXPECT_EQ(report.served, 1464u);
+  EXPECT_TRUE(report.conservation_ok);
+}
+
+TEST(ServeFaults, AhmNonFadingFaultGauntletMatchesGolden) {
+  const ServeReport report =
+      run_gauntlet(PolicyKind::Ahm, core::Propagation::NonFading);
+  EXPECT_EQ(report.trajectory_hash, 0xdac6e1ded8a0aa99u)
       << std::hex << report.trajectory_hash;
   EXPECT_EQ(report.served, 1464u);
   EXPECT_TRUE(report.conservation_ok);
@@ -448,6 +485,53 @@ TEST(ServeFaults, AhmKillRestoreReplaysBitIdentically) {
   std::remove(path.c_str());
 }
 
+TEST(ServeFaults, AhmRayleighMidEpochKillRestoreReplaysBitIdentically) {
+  // The crash lands mid-epoch: the last snapshot (slot 300) falls between
+  // the adoption at slot 298 and the next one at 306, with nothing in
+  // flight. The restored service must serve its first slots from the
+  // schedule's gain block rebuilt from the snapshot alone.
+  const std::string path =
+      ::testing::TempDir() + "raysched_serve_ahm_rayleigh_mid_epoch.snap";
+  ServeConfig clean = base_config();
+  clean.faults = FaultScript::parse(kFaultSpec);
+  clean.policy = PolicyKind::Ahm;
+  clean.propagation = core::Propagation::Rayleigh;
+
+  Service a(serve_network(), clean);
+  const ServeReport full = a.run(420);
+  ASSERT_FALSE(full.crashed);
+
+  ServeConfig crashing = clean;
+  crashing.faults =
+      FaultScript::parse(std::string(kFaultSpec) + ",303:crash");
+  crashing.snapshot_path = path;
+  crashing.snapshot_period = 100;
+  Service b(serve_network(), crashing);
+  ASSERT_TRUE(b.run(420).crashed);
+
+  const ServeSnapshot snap = load_snapshot(path);
+  ASSERT_EQ(snap.next_slot, 300u);
+  ASSERT_FALSE(snap.recompute.in_flight);
+  ASSERT_FALSE(snap.schedule.empty());
+  Service c(serve_network(), clean);
+  c.restore(snap);
+  const ServeReport replay = c.run(420 - 300);
+
+  const std::vector<SlotDigest> tail(full.digests.begin() + 300,
+                                     full.digests.end());
+  expect_same_digests(replay.digests, tail);
+  // Slots 300..305 run on the restored schedule and serve from it.
+  std::uint64_t served_before_adoption = 0;
+  for (std::size_t k = 0; k < 6; ++k) {
+    EXPECT_EQ(replay.digests[k].schedule_epoch, snap.schedule_epoch);
+    served_before_adoption += replay.digests[k].served;
+  }
+  EXPECT_GT(served_before_adoption, 0u);
+  EXPECT_EQ(replay.served, full.served);
+  EXPECT_TRUE(replay.conservation_ok);
+  std::remove(path.c_str());
+}
+
 TEST(ServeFaults, ChurnDuringInflightRecomputePrunesStaleLinks) {
   // Satellite-1 regression: a delay fault stretches the slot-40 recompute
   // to latency 5 (due slot 45, inside the 6-slot deadline), and a churn
@@ -555,6 +639,53 @@ TEST(ServeFaults, RestoreRejectsNonConservingCounters) {
     EXPECT_EQ(e.code(), ErrorCode::SnapshotFormat);
   }
   std::remove(path.c_str());
+}
+
+/// Restores `bad` on a fresh service and expects a SnapshotFormat refusal
+/// that leaves the service untouched: it still restores `good` afterwards.
+void expect_restore_refused(const ServeSnapshot& bad,
+                            const ServeSnapshot& good) {
+  Service service(serve_network(), base_config());
+  try {
+    service.restore(bad);
+    FAIL() << "malformed in-memory snapshot restored";
+  } catch (const coded_error& e) {
+    EXPECT_EQ(e.code(), ErrorCode::SnapshotFormat);
+  }
+  EXPECT_EQ(service.next_slot(), 0u);
+  service.restore(good);
+  EXPECT_EQ(service.next_slot(), good.next_slot);
+}
+
+/// A snapshot after 40 slots of the base configuration.
+ServeSnapshot snapshot_after_40_slots() {
+  Service service(serve_network(), base_config());
+  (void)service.run(40);
+  return service.snapshot();
+}
+
+TEST(ServeFaults, RestoreRejectsShortQueueVector) {
+  const ServeSnapshot good = snapshot_after_40_slots();
+  ServeSnapshot bad = good;
+  // Fold the last queue into the first, so the counters still conserve.
+  bad.queues.front() += bad.queues.back();
+  bad.queues.pop_back();
+  expect_restore_refused(bad, good);
+}
+
+TEST(ServeFaults, RestoreRejectsShortActiveVector) {
+  const ServeSnapshot good = snapshot_after_40_slots();
+  ServeSnapshot bad = good;
+  bad.active.pop_back();
+  expect_restore_refused(bad, good);
+}
+
+TEST(ServeFaults, RestoreRejectsScheduleIdOutOfRange) {
+  const ServeSnapshot good = snapshot_after_40_slots();
+  ASSERT_FALSE(good.schedule.empty());
+  ServeSnapshot bad = good;
+  bad.schedule.back() = good.num_links;
+  expect_restore_refused(bad, good);
 }
 
 TEST(ServeFaults, RunResumesAcrossCalls) {
