@@ -102,15 +102,23 @@ int main(int argc, char** argv) {
           // Paper-exact protocol: average over explicit fading draws.
           const auto fading_seeds =
               static_cast<std::size_t>(flags.get_int("fading-seeds"));
+          // Thresholds the explicit pairwise draws of sinr_rayleigh_all, not
+          // count_successes_rayleigh: that kernel samples from the closed
+          // form, so it could not check the closed-form default.
+          const auto sampled_successes = [&](const model::Network& net,
+                                             util::RngStream& fade) {
+            double wins = 0.0;
+            for (double s : model::sinr_rayleigh_all(net, active, fade)) {
+              if (s >= beta) wins += 1.0;
+            }
+            return wins;
+          };
           double su = 0.0, ss = 0.0;
           for (std::size_t f = 0; f < fading_seeds; ++f) {
             util::RngStream fade = master.derive(net_idx, 0xC).derive(k, t)
                                       .derive(f);
-            su += static_cast<double>(
-                model::count_successes_rayleigh(uniform_net, active, units::Threshold(beta),
-                                                fade));
-            ss += static_cast<double>(
-                model::count_successes_rayleigh(sqrt_net, active, units::Threshold(beta), fade));
+            su += sampled_successes(uniform_net, fade);
+            ss += sampled_successes(sqrt_net, fade);
           }
           rl_u += su / static_cast<double>(fading_seeds);
           rl_s += ss / static_cast<double>(fading_seeds);

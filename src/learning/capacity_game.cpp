@@ -6,7 +6,6 @@
 #include "model/rayleigh.hpp"
 #include "model/sinr.hpp"
 #include "util/error.hpp"
-#include "util/fp.hpp"
 
 namespace raysched::learning {
 
@@ -44,6 +43,8 @@ GameResult run_capacity_game(const Network& net, const GameOptions& options,
   LinkSet with_i_scratch;
   with_i_scratch.reserve(n + 1);
   std::vector<char> success_scratch(n, 0);
+  LinkSet everyone(n);
+  for (LinkId i = 0; i < n; ++i) everyone[i] = i;
 
   // raysched:hot(round-loop)
   for (std::size_t t = 0; t < options.rounds; ++t) {
@@ -57,9 +58,8 @@ GameResult run_capacity_game(const Network& net, const GameOptions& options,
     // success_if_sent[i]: did / would link i's transmission succeed against
     // this round's active set? For senders this is the actual outcome; for
     // non-senders it is the counterfactual with i added (the other senders'
-    // realized set is unchanged because gains are independent per receiver).
+    // outcomes are unchanged because gains are independent per receiver).
     std::vector<char>& success_if_sent = success_scratch;
-    std::fill(success_if_sent.begin(), success_if_sent.end(), char{0});
     if (options.model == GameModel::NonFading) {
       for (LinkId i = 0; i < n; ++i) {
         if (actions[i] == Action::Send) {
@@ -74,18 +74,11 @@ GameResult run_capacity_game(const Network& net, const GameOptions& options,
         }
       }
     } else {
-      // Rayleigh: sample each receiver's incoming gains once; the sender's
-      // own-signal draw serves both the actual and counterfactual outcome.
-      for (LinkId i = 0; i < n; ++i) {
-        double interference = net.noise();
-        for (LinkId j : active) {
-          if (j != i) interference += rng.exponential_mean(net.mean_gain(j, i));
-        }
-        const double own = rng.exponential_mean(net.signal(i));
-        success_if_sent[i] = util::fp::exact_zero(interference)
-                                 ? own > 0.0
-                                 : own / interference >= options.beta;
-      }
+      // Rayleigh: every link decided against the others of this round's
+      // senders, one uniform each (model::rayleigh_successes, receivers form).
+      model::rayleigh_successes(net, active, everyone,
+                                units::Threshold(options.beta), rng,
+                                success_if_sent);
     }
 
     double successes = 0.0;

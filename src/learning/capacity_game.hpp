@@ -3,10 +3,11 @@
 // Every link runs a no-regret learner over {send, stay}. Each round:
 //   1. every learner samples an action; the senders form the active set;
 //   2. successes are judged in the chosen propagation model
-//      (non-fading: deterministic SINR; Rayleigh: fresh fading sample);
+//      (non-fading: deterministic SINR; Rayleigh: one uniform per link
+//      against its Theorem-1 success probability for this round);
 //   3. every link receives full-information losses — for links that did not
 //      send, the counterfactual "had I sent against this active set" is
-//      evaluated (with its own fresh fading draw in the Rayleigh model);
+//      evaluated (by the same per-link draw in the Rayleigh model);
 //   4. learners update.
 //
 // The engine records the Lemma 5 quantities: F (average number of

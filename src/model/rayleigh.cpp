@@ -6,7 +6,6 @@
 #include "util/contracts.hpp"
 #include "util/error.hpp"
 #include "util/fp.hpp"
-#include "util/neg_log.hpp"
 
 namespace raysched::model {
 
@@ -41,9 +40,7 @@ void require_ids(const Network& net, const LinkSet& active,
 }
 
 /// Receiver i's SINR in one fading realization: S(j,i) ~ Exp(S̄(j,i)) for
-/// every j in `active`, in set order, summed onto the noise. This is the
-/// arithmetic of record: sinr_rayleigh_all returns it, and the threshold
-/// kernel replays it whenever its filter cannot certify a decision.
+/// every j in `active`, in set order, summed onto the noise.
 double realized_sinr(const Network& net, const LinkSet& active, LinkId i,
                      util::RngStream& rng) {
   double interference = net.noise();
@@ -59,71 +56,18 @@ double realized_sinr(const Network& net, const LinkSet& active, LinkId i,
   return own / interference;
 }
 
-// The threshold filter (docs/PERFORMANCE.md, "Rayleigh success test").
-// The approximate interference differs from the exact one by at most
-// kSumError relative: the two -ln errors, one product rounding each, and
-// the recursive summation of at most kMaxFilteredSet + 1 nonnegative
-// terms. A decision is certain when the approximate SINR is outside
-// beta * (1 +- kBand); the static_assert keeps kBand at least twice the
-// error with room for the rounding of the two threshold products.
-constexpr double kBand = 1e-6;
-constexpr std::size_t kMaxFilteredSet = std::size_t{1} << 24;
-// Assumed bound on std::log1p's relative error (glibc: under 1 ulp).
-constexpr double kLog1pRelError = 0x1p-40;
-constexpr double kSumError =
-    util::kNegLogRelError + kLog1pRelError +
-    2.0 * static_cast<double>(kMaxFilteredSet + 2) * 0x1p-53;
-static_assert(2.0 * kSumError <= kBand / 2.0,
-              "filter band too narrow for the certified error bound");
-// Ranges that keep beta * interference a normal double, so the products
-// carry a 2^-53 relative error and no subnormal or overflow loss.
-constexpr double kMinBeta = 0x1p-400;
-constexpr double kMaxBeta = 0x1p400;
-constexpr double kMinInterference = 0x1p-500;
-constexpr double kMaxInterference = 0x1p500;
-
-/// Decides every receiver of `active`; writes ok[a] when `ok` is non-null
-/// and returns the success count. Same draws in the same order as
-/// realized_sinr, so `rng` ends where sinr_rayleigh_all leaves it.
+/// Decides every receiver against `senders`: one uniform per receiver, in
+/// set order, succeeding iff it falls below the receiver's Q_i. Writes ok[a]
+/// when `ok` is non-null and returns the success count.
 // raysched:hot
-std::size_t decide_successes(const Network& net, const LinkSet& active,
-                             double beta, util::RngStream& rng, char* ok) {
-  const std::size_t m = active.size();
-  const bool filter = m <= kMaxFilteredSet && beta >= kMinBeta &&
-                      beta <= kMaxBeta;
-  const double accept = beta * (1.0 + kBand);
-  const double reject = beta * (1.0 - kBand);
+std::size_t decide_successes(const Network& net, const LinkSet& senders,
+                             const LinkSet& receivers, units::Threshold beta,
+                             util::RngStream& rng, char* ok) {
   std::size_t count = 0;
-  for (std::size_t a = 0; a < m; ++a) {
-    const LinkId i = active[a];
-    const util::RngStream start = rng;
-    bool certain = false;
-    bool success = false;
-    if (filter) {
-      double own = 0.0;
-      double approx = net.noise();
-      for (LinkId j : active) {
-        const double mean = net.mean_gain(j, i);
-        // exponential_mean draws nothing for a zero mean; neither may we.
-        if (util::fp::exact_zero(mean)) continue;
-        const double u = rng.uniform();
-        // 1 - u is exact for the 53-bit u: neg_log(1 - u) and log1p(-u)
-        // take the logarithm of the same number.
-        if (j == i) own = -mean * std::log1p(-u);
-        else approx += mean * util::neg_log(1.0 - u);
-      }
-      if (approx >= kMinInterference && approx <= kMaxInterference) {
-        if (own >= accept * approx) {
-          certain = success = true;
-        } else if (own < reject * approx) {
-          certain = true;
-        }
-      }
-    }
-    if (!certain) {
-      rng = start;
-      success = realized_sinr(net, active, i, rng) >= beta;
-    }
+  for (std::size_t a = 0; a < receivers.size(); ++a) {
+    const bool success =
+        rng.uniform() <
+        detail::success_chance(net, senders, receivers[a], beta);
     if (ok != nullptr) ok[a] = success ? 1 : 0;
     if (success) ++count;
   }
@@ -153,14 +97,21 @@ void sinr_rayleigh_all(const Network& net, const LinkSet& active,
   }
 }
 
-// raysched:hot
 std::size_t rayleigh_successes(const Network& net, const LinkSet& active,
                                units::Threshold beta, util::RngStream& rng,
                                std::vector<char>& ok) {
+  return rayleigh_successes(net, active, active, beta, rng, ok);
+}
+
+// raysched:hot
+std::size_t rayleigh_successes(const Network& net, const LinkSet& senders,
+                               const LinkSet& receivers, units::Threshold beta,
+                               util::RngStream& rng, std::vector<char>& ok) {
   require(beta.value() > 0.0, "rayleigh_successes: beta must be positive");
-  require_ids(net, active, "rayleigh_successes: active id out of range");
-  ok.assign(active.size(), 0);
-  return decide_successes(net, active, beta.value(), rng, ok.data());
+  require_ids(net, senders, "rayleigh_successes: sender id out of range");
+  require_ids(net, receivers, "rayleigh_successes: receiver id out of range");
+  ok.assign(receivers.size(), 0);
+  return decide_successes(net, senders, receivers, beta, rng, ok.data());
 }
 
 std::size_t count_successes_rayleigh(const Network& net, const LinkSet& active,
@@ -169,7 +120,7 @@ std::size_t count_successes_rayleigh(const Network& net, const LinkSet& active,
   require(beta.value() > 0.0,
           "count_successes_rayleigh: beta must be positive");
   require_ids(net, active, "count_successes_rayleigh: active id out of range");
-  return decide_successes(net, active, beta.value(), rng, nullptr);
+  return decide_successes(net, active, active, beta, rng, nullptr);
 }
 
 double detail::success_probability_rayleigh_unchecked(const Network& net,
@@ -185,6 +136,24 @@ double detail::success_probability_rayleigh_unchecked(const Network& net,
     p /= 1.0 + b * net.mean_gain(j, i) / sii;
   }
   return p;
+}
+
+double detail::success_chance(const Network& net, const LinkSet& senders,
+                              LinkId i, units::Threshold beta) {
+  const double own = net.signal(i);
+  if (!(own > 0.0)) return 0.0;
+  const double c = beta.value() / own;
+  // A c that overflows would make a zero gain inf * 0; the division form
+  // keeps that range exact.
+  if (!std::isfinite(c)) {
+    return detail::success_probability_rayleigh_unchecked(net, senders, i,
+                                                          beta);
+  }
+  double product = 1.0;
+  for (LinkId j : senders) {
+    if (j != i) product *= 1.0 + c * net.mean_gain(j, i);
+  }
+  return std::exp(-c * net.noise()) / product;
 }
 
 units::Probability success_probability_rayleigh(const Network& net,

@@ -3,12 +3,19 @@
 // Under Rayleigh fading the received strength S(j,i) is an exponentially
 // distributed random variable with mean S̄(j,i), independent across pairs and
 // slots. This header provides slot realizations (sampling), the threshold
-// kernel that decides which links of one realization clear beta, and the
-// exact per-slot success probability for a *fixed* transmitting set, which
-// is Theorem 1 specialized to q in {0,1}:
+// kernel that decides which links of one slot clear beta, and the exact
+// per-slot success probability for a *fixed* transmitting set, which is
+// Theorem 1 specialized to q in {0,1}:
 //
-//   Pr[gamma_i^R >= beta | active set A, i in A]
-//     = exp(-beta nu / S̄(i,i)) * prod_{j in A, j != i} 1/(1 + beta S̄(j,i)/S̄(i,i)).
+//   Q_i = Pr[gamma_i^R >= beta | active set A, i in A]
+//       = exp(-beta nu / S̄(i,i)) * prod_{j in A, j != i} 1/(1 + beta S̄(j,i)/S̄(i,i)).
+//
+// Receiver i's outcome reads only its own column {S(j,i) : j in A}, and
+// different receivers read disjoint columns, so the outcomes of one slot are
+// independent Bernoulli(Q_i). The threshold kernel samples exactly that law:
+// one uniform per receiver against Q_i, instead of |A|^2 exponential draws.
+// sinr_rayleigh_all keeps the explicit draws as the independent pairwise
+// reference (tests/test_stat_gate.cpp checks the kernel against it).
 //
 // The probabilistic-access version (arbitrary q vectors) lives in
 // core/success_probability.hpp.
@@ -34,9 +41,9 @@ namespace raysched::model {
 /// independently per (sender, receiver) pair, exactly as in the model:
 /// receiver by receiver, one uniform draw per sender with a nonzero mean
 /// gain, in set order. Every id is validated before any gain is read.
-/// For value callers; callers that only compare against beta use
-/// rayleigh_successes, which makes the same decisions without a log per
-/// pair.
+/// For value callers and as the pairwise reference; callers that only
+/// compare against beta use rayleigh_successes, which samples the same law
+/// of decisions from Q_i.
 [[nodiscard]] std::vector<double> sinr_rayleigh_all(const Network& net,
                                                     const LinkSet& active,
                                                     util::RngStream& rng);
@@ -49,23 +56,32 @@ namespace raysched::model {
 void sinr_rayleigh_all(const Network& net, const LinkSet& active,
                        util::RngStream& rng, std::vector<double>& out);
 
-/// The threshold kernel: ok[a] = 1 iff the realized SINR of active[a] is
-/// >= beta, for one fading realization; returns the success count. Each
-/// decision equals `sinr_rayleigh_all(net, active, rng)[a] >= beta`, and
-/// `rng` ends in the same state, because the kernel makes the same draws
-/// in the same order. It sums the interference with a certified fast -ln
-/// (util/neg_log.hpp) and replays a receiver through the exact arithmetic
-/// only when its SINR lands within a relative 1e-6 of beta, or the sum
-/// leaves the certified range (docs/PERFORMANCE.md, "Rayleigh success
-/// test"). `ok` is resized to |active| and overwritten, so a reused buffer
-/// allocates nothing after warm-up. Throws on an out-of-range id or a
-/// non-positive beta before reading any gain.
+/// The threshold kernel: decides which members of `active` clear beta in
+/// one slot; ok[a] = 1 iff active[a] succeeds. Returns the success count.
+/// An exact Theorem-1 sampler: receiver active[a] succeeds iff one
+/// rng.uniform() falls below its Q_i (product form, computed on `net`), so
+/// the decisions have the law of thresholding sinr_rayleigh_all but not its
+/// draws. A call draws exactly |active| uniforms, in set order, one per
+/// receiver, also for a receiver whose Q_i is 0 (no own signal). `ok` is
+/// resized to |active| and overwritten, so a reused buffer allocates nothing
+/// after warm-up. Throws on an out-of-range id or a non-positive beta before
+/// reading any gain.
 std::size_t rayleigh_successes(const Network& net, const LinkSet& active,
                                units::Threshold beta, util::RngStream& rng,
                                std::vector<char>& ok);
 
-/// Number of links of `active` whose realized SINR is >= beta in one slot:
+/// Receivers form: ok[a] = 1 iff receivers[a] clears beta against the
+/// interferers senders \ {receivers[a]}, the counterfactual "if it sent"
+/// for a receiver outside `senders`. One uniform per receiver, in order,
+/// against Q_i of the set senders + {receivers[a]}; the active form above
+/// is this form with receivers == senders.
+std::size_t rayleigh_successes(const Network& net, const LinkSet& senders,
+                               const LinkSet& receivers, units::Threshold beta,
+                               util::RngStream& rng, std::vector<char>& ok);
+
+/// Number of links of `active` that clear beta in one slot:
 /// rayleigh_successes without the per-link output, so it allocates nothing.
+/// Same draws and decisions.
 [[nodiscard]] std::size_t count_successes_rayleigh(const Network& net,
                                                    const LinkSet& active,
                                                    units::Threshold beta,
@@ -91,10 +107,21 @@ namespace detail {
 /// success_probability_rayleigh with validation stripped: callers (the
 /// aggregate above and core's batch unit) validate ids / beta / membership
 /// once and loop over this. Same division form and set order as the public
-/// function, so results are bit-identical.
+/// function, so results are bit-identical. The threshold kernel computes
+/// the same Q_i in product form (one division instead of one per
+/// interferer); the two agree to rounding, which
+/// tests/test_rayleigh_success.cpp pins at 1e-12 relative.
 [[nodiscard]] double success_probability_rayleigh_unchecked(
     const Network& net, const LinkSet& active, LinkId i,
     units::Threshold beta);
+
+/// The threshold kernel's Q_i: Theorem 1 at q in {0,1} in product form, the
+/// probability that receiver i clears beta when the members of `senders`
+/// other than i transmit. c = beta / S̄(i,i), one exp(-c nu), the product
+/// of the factors (1 + c S̄(j,i)) and one division. 0 when S̄(i,i) is 0
+/// (a geometric gain that underflowed). Unchecked like the function above.
+[[nodiscard]] double success_chance(const Network& net, const LinkSet& senders,
+                                    LinkId i, units::Threshold beta);
 
 }  // namespace detail
 
