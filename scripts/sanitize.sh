@@ -68,7 +68,9 @@ run_preset() {
     # RayleighSuccess covers the threshold kernel, whose product-form Q_i
     # divides by products that can overflow at extreme gains and beta.
     # StatGate computes Theorem 1 and divides by exact variances.
-    filter='Units|Theorem1|Lemma1|ExpectedSuccesses|NonFading|Latency|Simulation|Transfer|Nakagami|Shadowing|NetworkIo|Affectance|SuccessBatch|RayleighSuccess|RecordIo|FaultScriptSpec|StatGate'
+    # Rayleigh. runs the value functions, which divide by the same product;
+    # Exact. and WeightedBnB drive the one branch-and-bound search.
+    filter='Units|Theorem1|Lemma1|ExpectedSuccesses|NonFading|Latency|Simulation|Transfer|Nakagami|Shadowing|NetworkIo|Affectance|SuccessBatch|RayleighSuccess|RecordIo|FaultScriptSpec|StatGate|Rayleigh\.|Exact\.|WeightedBnB'
   fi
   ctest --test-dir "$build_dir" --output-on-failure -j "$(nproc)" -R "$filter"
   echo "sanitize: ${preset}: all selected tests passed"

@@ -147,7 +147,11 @@ WeightedCapacityResult WeightedGreedyOracle::compute(
 
 namespace {
 
-struct WeightedBranchState {
+/// Incremental feasibility bookkeeping for branch and bound: tracks the
+/// interference each chosen link receives and validates the SINR constraint
+/// after every tentative addition, plus the chosen set's weight and the best
+/// set found so far.
+struct BranchState {
   const Network& net;
   double beta;
   const std::vector<double>& weights;
@@ -157,9 +161,10 @@ struct WeightedBranchState {
   LinkSet best;
   double best_weight = 0.0;
 
-  WeightedBranchState(const Network& n, double b, const std::vector<double>& w)
+  BranchState(const Network& n, double b, const std::vector<double>& w)
       : net(n), beta(b), weights(w), interference(n.size(), n.noise()) {}
 
+  /// Can `i` be added while keeping every chosen link (and i) feasible?
   [[nodiscard]] bool can_add(LinkId i) const {
     if (net.signal(i) < beta * interference[i]) return false;
     for (LinkId j : chosen) {
@@ -188,25 +193,42 @@ struct WeightedBranchState {
   }
 };
 
-void weighted_branch(const std::vector<LinkId>& order,
-                     const std::vector<double>& suffix_weight,
-                     std::size_t index, WeightedBranchState& state) {
+void branch(const std::vector<LinkId>& order,
+            const std::vector<double>& suffix_weight, std::size_t index,
+            BranchState& state) {
   if (state.chosen_weight > state.best_weight) {
     state.best = state.chosen;
     state.best_weight = state.chosen_weight;
   }
   if (index >= order.size()) return;
+  // Prune: even taking every remaining link cannot beat the incumbent.
   if (state.chosen_weight + suffix_weight[index] <= state.best_weight) return;
   const LinkId i = order[index];
   if (state.weights[i] > 0.0 && state.can_add(i)) {
     state.add(i);
-    weighted_branch(order, suffix_weight, index + 1, state);
+    branch(order, suffix_weight, index + 1, state);
     state.remove_last();
   }
-  weighted_branch(order, suffix_weight, index + 1, state);
+  branch(order, suffix_weight, index + 1, state);
 }
 
 }  // namespace
+
+WeightedCapacityResult detail::branch_and_bound(
+    const Network& net, double beta, const std::vector<LinkId>& order,
+    const std::vector<double>& weights) {
+  std::vector<double> suffix_weight(order.size() + 1, 0.0);
+  for (std::size_t k = order.size(); k > 0; --k) {
+    suffix_weight[k - 1] = suffix_weight[k] + weights[order[k - 1]];
+  }
+  BranchState state(net, beta, weights);
+  branch(order, suffix_weight, 0, state);
+  std::sort(state.best.begin(), state.best.end());
+  WeightedCapacityResult result;
+  result.selected = std::move(state.best);
+  result.value = state.best_weight;
+  return result;
+}
 
 WeightedCapacityResult exact_max_weight_feasible_set(
     const Network& net, double beta, const std::vector<double>& weights,
@@ -222,18 +244,9 @@ WeightedCapacityResult exact_max_weight_feasible_set(
   std::stable_sort(order.begin(), order.end(), [&](LinkId a, LinkId b) {
     return weights[a] > weights[b];
   });
-  std::vector<double> suffix_weight(order.size() + 1, 0.0);
-  for (std::size_t k = order.size(); k > 0; --k) {
-    suffix_weight[k - 1] = suffix_weight[k] + weights[order[k - 1]];
-  }
-
-  WeightedBranchState state(net, beta, weights);
-  weighted_branch(order, suffix_weight, 0, state);
-  std::sort(state.best.begin(), state.best.end());
-  WeightedCapacityResult result;
+  WeightedCapacityResult result =
+      detail::branch_and_bound(net, beta, order, weights);
   result.algorithm = "weighted-exact-bnb";
-  result.selected = std::move(state.best);
-  result.value = state.best_weight;
   return result;
 }
 

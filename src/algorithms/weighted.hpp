@@ -85,6 +85,23 @@ class WeightedGreedyOracle {
     const model::Network& net, double beta, const std::vector<double>& weights,
     std::size_t max_n = 22);
 
+namespace detail {
+
+/// The branch and bound behind both exact searches (this one and
+/// exact_max_feasible_set, which passes unit weights): the feasible subset
+/// of maximum total weight, links tried in `order`, weights indexed by link
+/// id. A branch is pruned when its weight plus the weight left in `order`
+/// cannot beat the incumbent, the incumbent is replaced only by a strictly
+/// heavier set, and a link of weight 0 is never taken. `value` is the
+/// winner's weight as the search accumulated it; `selected` is sorted and
+/// `algorithm` left empty. Unchecked: callers validate beta and weights.
+[[nodiscard]] WeightedCapacityResult branch_and_bound(
+    const model::Network& net, double beta,
+    const std::vector<model::LinkId>& order,
+    const std::vector<double>& weights);
+
+}  // namespace detail
+
 /// Weighted local search: greedy seed, then add moves and 1-out swap moves
 /// accepted when they increase total weight while staying feasible.
 [[nodiscard]] WeightedCapacityResult weighted_local_search(

@@ -158,10 +158,16 @@ double interference_weight(const Network& net,
 double expected_rayleigh_successes(const Network& net,
                                    const units::ProbabilityVector& q,
                                    units::Threshold beta) {
-  // One validation sweep, then the fused per-link loop: previously this
-  // called the public per-link API, which re-ran the O(n) validation once
-  // per link, making validation alone O(n^2) per aggregate.
-  return batch_expected_rayleigh_successes(net, q, beta);
+  // One validation sweep inside the batch call, then the per-link values
+  // summed in ascending link order. Zero entries (q_i == 0) are bitwise
+  // no-ops on a non-negative running sum, so they need no skip branch.
+  double total = 0.0;
+  for (double v : batch_rayleigh_success_probabilities(net, q, beta)) {
+    total += v;
+  }
+  RAYSCHED_ENSURE(total <= static_cast<double>(net.size()),
+                  "expected successes cannot exceed the number of links");
+  return total;
 }
 
 units::Probability nonfading_success_probability_exact(

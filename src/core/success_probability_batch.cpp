@@ -257,43 +257,9 @@ std::vector<double> batch_rayleigh_success_probabilities(
   return out;
 }
 
-double batch_expected_rayleigh_successes(const Network& net,
-                                         const units::ProbabilityVector& q,
-                                         units::Threshold beta) {
-  const std::vector<double> values =
-      batch_rayleigh_success_probabilities(net, q, beta);
-  // Ascending link order, matching the scalar aggregate. Zero entries are
-  // bitwise no-ops on a non-negative running sum, so links with q_i == 0
-  // need no skip branch.
-  double total = 0.0;
-  for (double v : values) total += v;
-  RAYSCHED_ENSURE(total <= static_cast<double>(net.size()),
-                  "expected successes cannot exceed the number of links");
-  return total;
-}
-
-std::vector<double> batch_success_probabilities_active(
-    const Network& net, const LinkSet& active, units::Threshold beta) {
-  require(beta.value() > 0.0,
-          "batch_success_probabilities_active: beta must be positive");
-  for (LinkId j : active) {
-    require(j < net.size(),
-            "batch_success_probabilities_active: id out of range");
-  }
-  std::vector<double> out(active.size());
-  for (std::size_t a = 0; a < active.size(); ++a) {
-    out[a] = model::detail::success_probability_rayleigh_unchecked(
-        net, active, active[a], beta);
-  }
-  return out;
-}
-
 double batch_expected_successes_active(const Network& net,
                                        const LinkSet& active,
                                        units::Threshold beta) {
-  // The scalar aggregate adds each value as it is produced — the same
-  // values in the same set order, with no buffer — so pricing a schedule on
-  // the serving path allocates nothing.
   return model::expected_successes_rayleigh(net, active, beta);
 }
 

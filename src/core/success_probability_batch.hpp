@@ -1,11 +1,11 @@
 // raysched: batched evaluation of the Theorem-1 success probabilities.
 //
-// Every hot consumer of Theorem 1 — expected_rayleigh_successes, the Lemma-2
-// transfer check, and each round of the Section-6 regret dynamics — needs
-// Q_i(q, beta) for ALL links at once. Evaluating link-by-link through the
-// scalar API costs O(n^2) per batch with a division per (sender, receiver)
-// pair plus a redundant O(n) validation sweep per link. This header provides
-// the batched path:
+// Every hot consumer of Theorem 1 under probabilistic access —
+// expected_rayleigh_successes, the latency bounds, fictitious play and the
+// probabilistic coordinate ascent — needs Q_i(q, beta) for ALL links at
+// once. Evaluating link-by-link through the scalar API costs O(n^2) per
+// batch with a division per (sender, receiver) pair plus a redundant O(n)
+// validation sweep per link. This header provides the batched path:
 //
 //  * SuccessProbabilityKernel precomputes the n x n normalized-affectance
 //    matrix c(j,i) = beta*S(j,i) / (beta*S(j,i) + S(i,i)) once per
@@ -16,11 +16,12 @@
 //    all n values after a single-link change in O(n log n) instead of
 //    O(n^2) via per-link product trees.
 //
-//  * The batch_* free functions are fused aggregates that keep the scalar
-//    functions' exact expression and iteration order (bit-identical results)
-//    while hoisting validation out of the per-link loop. They back the
-//    rewired expected_rayleigh_successes / transfer / learning payoffs so
-//    pinned regression values are preserved to the last bit.
+//  * batch_rayleigh_success_probabilities keeps the scalar function's exact
+//    expression and iteration order (bit-identical results) while hoisting
+//    validation out of the per-link loop; expected_rayleigh_successes sums
+//    it. A fixed transmitting set (q in {0,1}) needs no batch unit: its
+//    closed form is model::detail::success_chance, behind
+//    model::expected_successes_rayleigh.
 //
 // Layering: the kernel lives in core and must not include learning/ or sim/
 // (raysched_check RS-A1). Every entry point runs serially on the calling
@@ -146,25 +147,10 @@ class SuccessProbabilityKernel {
     const model::Network& net, const units::ProbabilityVector& q,
     units::Threshold beta);
 
-/// Fused batch form of expected_rayleigh_successes: one validation sweep,
-/// per-link values as above, summed in ascending link order. Bit-identical
-/// to the scalar aggregate (which now delegates here).
-[[nodiscard]] double batch_expected_rayleigh_successes(
-    const model::Network& net, const units::ProbabilityVector& q,
-    units::Threshold beta);
-
-/// Fused batch form of model::success_probability_rayleigh over an active
-/// set (q in {0,1}): out[a] is the success probability of active[a] against
-/// the whole set, computed with the scalar function's exact division form
-/// and iteration order (bit-identical), with the per-link id validation
-/// hoisted to one sweep over the set.
-[[nodiscard]] std::vector<double> batch_success_probabilities_active(
-    const model::Network& net, const model::LinkSet& active,
-    units::Threshold beta);
-
-/// Fused batch form of model::expected_successes_rayleigh: the values above
-/// summed in set order. Bit-identical to the scalar aggregate; it sums in
-/// place and allocates nothing.
+/// model::expected_successes_rayleigh under its old core name. It stays only
+/// because the benchmark driver (rsbench/) names it and must build
+/// unchanged; nothing in the library calls it. New code calls the model
+/// function.
 [[nodiscard]] double batch_expected_successes_active(
     const model::Network& net, const model::LinkSet& active,
     units::Threshold beta);

@@ -2,7 +2,6 @@
 
 #include <cmath>
 
-#include "core/success_probability_batch.hpp"
 #include "model/rayleigh.hpp"
 #include "model/sinr.hpp"
 #include "util/contracts.hpp"
@@ -20,12 +19,8 @@ double expected_rayleigh_utility_exact(const Network& net,
   require(u.is_threshold(),
           "expected_rayleigh_utility_exact: closed form requires a threshold "
           "utility; use the Monte-Carlo variant");
-  // Batched Theorem-1 evaluation: validates the solution's ids once and
-  // returns all per-link values with the scalar function's exact arithmetic.
-  const std::vector<double> probs =
-      batch_success_probabilities_active(net, solution, u.beta());
-  double total = 0.0;
-  for (double p : probs) total += u.weight() * p;
+  const double total =
+      u.weight() * model::expected_successes_rayleigh(net, solution, u.beta());
   RAYSCHED_ENSURE(
       std::isfinite(total) && total >= 0.0 &&
           total <= u.weight() * static_cast<double>(solution.size()) + 1e-9,

@@ -1,6 +1,5 @@
 #include "learning/best_response.hpp"
 
-#include "core/success_probability_batch.hpp"
 #include "model/rayleigh.hpp"
 #include "model/sinr.hpp"
 #include "util/error.hpp"
@@ -87,7 +86,7 @@ BestResponseResult run_best_response(const Network& net,
         static_cast<double>(model::count_successes_nonfading(
             net, active, units::Threshold(options.beta)));
   } else {
-    result.final_successes = core::batch_expected_successes_active(
+    result.final_successes = model::expected_successes_rayleigh(
         net, active, units::Threshold(options.beta));
   }
   return result;

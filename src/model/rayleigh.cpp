@@ -123,31 +123,20 @@ std::size_t count_successes_rayleigh(const Network& net, const LinkSet& active,
   return decide_successes(net, active, active, beta, rng, nullptr);
 }
 
-double detail::success_probability_rayleigh_unchecked(const Network& net,
-                                                      const LinkSet& active,
-                                                      LinkId i,
-                                                      units::Threshold beta) {
-  const double b = beta.value();
-  const double sii = net.signal(i);
-  RAYSCHED_EXPECT(sii > 0.0, "Theorem 1 needs a positive signal S(i,i)");
-  double p = std::exp(-b * net.noise() / sii);
-  for (LinkId j : active) {
-    if (j == i) continue;
-    p /= 1.0 + b * net.mean_gain(j, i) / sii;
-  }
-  return p;
-}
-
 double detail::success_chance(const Network& net, const LinkSet& senders,
                               LinkId i, units::Threshold beta) {
   const double own = net.signal(i);
   if (!(own > 0.0)) return 0.0;
-  const double c = beta.value() / own;
-  // A c that overflows would make a zero gain inf * 0; the division form
-  // keeps that range exact.
+  const double b = beta.value();
+  const double c = b / own;
+  // A c that overflows would make a zero gain inf * 0; dividing by the own
+  // signal factor by factor keeps that range exact.
   if (!std::isfinite(c)) {
-    return detail::success_probability_rayleigh_unchecked(net, senders, i,
-                                                          beta);
+    double p = std::exp(-b * net.noise() / own);
+    for (LinkId j : senders) {
+      if (j != i) p /= 1.0 + b * net.mean_gain(j, i) / own;
+    }
+    return p;
   }
   double product = 1.0;
   for (LinkId j : senders) {
@@ -170,23 +159,18 @@ units::Probability success_probability_rayleigh(const Network& net,
   }
   require(transmits,
           "success_probability_rayleigh: link i must be in the active set");
-  return units::Probability(
-      detail::success_probability_rayleigh_unchecked(net, active, i, beta));
+  return units::Probability(detail::success_chance(net, active, i, beta));
 }
 
 double expected_successes_rayleigh(const Network& net, const LinkSet& active,
                                    units::Threshold beta) {
-  // Validate the set once; the previous implementation re-validated every id
-  // (and re-scanned for membership) inside each per-link call, so the checks
-  // alone were O(|active|^2).
+  // Validate the set once, not once per link: per-link checks alone would
+  // cost O(|active|^2).
   require(beta.value() > 0.0,
           "expected_successes_rayleigh: beta must be positive");
   require_ids(net, active, "expected_successes_rayleigh: id out of range");
   double total = 0.0;
-  for (LinkId i : active) {
-    total +=
-        detail::success_probability_rayleigh_unchecked(net, active, i, beta);
-  }
+  for (LinkId i : active) total += detail::success_chance(net, active, i, beta);
   return total;
 }
 

@@ -88,38 +88,32 @@ std::size_t rayleigh_successes(const Network& net, const LinkSet& senders,
                                                    util::RngStream& rng);
 
 /// Exact probability that link i (a member of `active`) reaches SINR >= beta
-/// in the Rayleigh model when exactly `active` transmits. Closed form; no
-/// sampling.
+/// in the Rayleigh model when exactly `active` transmits: the validated form
+/// of detail::success_chance, so 0 for a link whose own signal is 0. Closed
+/// form; no sampling.
 [[nodiscard]] units::Probability success_probability_rayleigh(
     const Network& net, const LinkSet& active, LinkId i,
     units::Threshold beta);
 
 /// Exact expected number of successful transmissions in one slot when
 /// exactly `active` transmits: sum over i in active of
-/// success_probability_rayleigh. Closed form; no sampling. Validates the
-/// set once, not once per link.
+/// success_probability_rayleigh, added in set order. Closed form; no
+/// sampling. Validates the set once, not once per link, and allocates
+/// nothing.
 [[nodiscard]] double expected_successes_rayleigh(const Network& net,
                                                  const LinkSet& active,
                                                  units::Threshold beta);
 
 namespace detail {
 
-/// success_probability_rayleigh with validation stripped: callers (the
-/// aggregate above and core's batch unit) validate ids / beta / membership
-/// once and loop over this. Same division form and set order as the public
-/// function, so results are bit-identical. The threshold kernel computes
-/// the same Q_i in product form (one division instead of one per
-/// interferer); the two agree to rounding, which
-/// tests/test_rayleigh_success.cpp pins at 1e-12 relative.
-[[nodiscard]] double success_probability_rayleigh_unchecked(
-    const Network& net, const LinkSet& active, LinkId i,
-    units::Threshold beta);
-
-/// The threshold kernel's Q_i: Theorem 1 at q in {0,1} in product form, the
-/// probability that receiver i clears beta when the members of `senders`
-/// other than i transmit. c = beta / S̄(i,i), one exp(-c nu), the product
-/// of the factors (1 + c S̄(j,i)) and one division. 0 when S̄(i,i) is 0
-/// (a geometric gain that underflowed). Unchecked like the function above.
+/// Q_i, the one closed form for a fixed set: Theorem 1 at q in {0,1} in
+/// product form, the probability that receiver i clears beta when the
+/// members of `senders` other than i transmit. c = beta / S̄(i,i), one
+/// exp(-c nu), the product of the factors (1 + c S̄(j,i)) and one division;
+/// where c overflows, one division per factor instead. 0 when S̄(i,i) is 0
+/// (a geometric gain that underflowed). The threshold kernel and the value
+/// functions above call it after validating ids, beta and membership; it
+/// checks nothing itself.
 [[nodiscard]] double success_chance(const Network& net, const LinkSet& senders,
                                     LinkId i, units::Threshold beta);
 

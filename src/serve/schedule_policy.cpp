@@ -1,8 +1,8 @@
 #include "serve/schedule_policy.hpp"
 
 #include "algorithms/weighted.hpp"
-#include "core/success_probability_batch.hpp"
 #include "model/network.hpp"
+#include "model/rayleigh.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -35,7 +35,7 @@ class MaxWeightPolicy final : public SchedulePolicy {
     PolicyResult result;
     oracle_.compute(request.weights, result.schedule);
     result.expected_rate =
-        core::batch_expected_successes_active(net_, result.schedule, beta_);
+        model::expected_successes_rayleigh(net_, result.schedule, beta_);
     return result;
   }
 

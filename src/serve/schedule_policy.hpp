@@ -10,7 +10,7 @@
 //                           own gain matrix (O(n) state, no n^2 cache),
 //                           priced as a Theorem-1 expected service rate
 //                           (RecomputeOutcome::expected_rate) by
-//                           core::batch_expected_successes_active over the
+//                           model::expected_successes_rayleigh over the
 //                           schedule alone — O(|S|^2), allocation-free.
 //                           "max-weight-incremental", the name of the
 //                           priced policy before the two max-weight

@@ -192,13 +192,13 @@ TEST(HotPathAllocs, OracleComputeAndPricingAllocateNothing) {
   model::LinkSet selected;
   selected.reserve(net.size());
   oracle.compute(std::vector<double>(net.size(), 1.0), selected);
-  (void)core::batch_expected_successes_active(net, selected, beta);
+  (void)model::expected_successes_rayleigh(net, selected, beta);
 
   const std::uint64_t base = alloc_count();
   double priced = 0.0;
   for (const auto& w : requests) {
     oracle.compute(w, selected);
-    priced += core::batch_expected_successes_active(net, selected, beta);
+    priced += model::expected_successes_rayleigh(net, selected, beta);
   }
   EXPECT_EQ(alloc_count(), base)
       << "oracle compute or pricing allocated after warm-up";

@@ -4,10 +4,11 @@
 //
 // The protocol tests replay the uniforms and check every decision, the draw
 // count and the final RNG state. The value tests tie the kernel's
-// product-form Q_i to success_probability_rayleigh. The gate cases check the
-// kernel's law against thresholded sinr_rayleigh_all, the independent
-// pairwise reference, with the statistical gate (stat_gate.hpp). The golden
-// tests pin fixed-seed outcomes of every thresholding caller.
+// product-form Q_i to core's general-q Theorem 1 and to the value functions.
+// The gate cases check the kernel's law against thresholded
+// sinr_rayleigh_all, the independent pairwise reference, with the
+// statistical gate (stat_gate.hpp). The golden tests pin fixed-seed outcomes
+// of every thresholding caller.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -111,26 +112,34 @@ TEST(RayleighSuccess, DecidesEachReceiverWithOneUniformBelowItsChance) {
 
 TEST(RayleighSuccess, ZeroOwnSignalNeverSucceedsAndStillDraws) {
   // Link 2 is so long that its own mean signal underflows to 0: Q = 0, and
-  // its uniform is drawn anyway.
+  // its uniform is drawn anyway. The value functions give it 0 as well,
+  // also at zero noise, where the noise term would read 0 / 0.
   std::vector<model::Link> links;
   for (double y : {0.0, 50.0, 100.0, 150.0, 200.0}) {
     links.push_back({model::Point{0.0, y}, model::Point{30.0, y}});
   }
   links[2].sender = model::Point{-1e200, 100.0};
-  const model::Network net(std::move(links),
-                           model::PowerAssignment::uniform(2.0), 2.2,
-                           units::Power(4e-7));
-  ASSERT_EQ(net.signal(2), 0.0);
   const model::LinkSet active = {0, 1, 2, 3, 4};
-  EXPECT_EQ(model::detail::success_chance(net, active, 2,
-                                           units::Threshold(1.0)), 0.0);
-  for (std::uint64_t seed = 0; seed < 50; ++seed) {
-    std::vector<char> ok;
-    util::RngStream rng(seed);
-    (void)model::rayleigh_successes(net, active, units::Threshold(1.0), rng,
-                                    ok);
-    EXPECT_EQ(ok[2], 0);
-    expect_one_uniform_each(net, active, 1.0, seed);
+  const units::Threshold beta(1.0);
+  for (double noise : {4e-7, 0.0}) {
+    const model::Network net(links, model::PowerAssignment::uniform(2.0), 2.2,
+                             units::Power(noise));
+    ASSERT_EQ(net.signal(2), 0.0);
+    EXPECT_EQ(model::detail::success_chance(net, active, 2, beta), 0.0);
+    EXPECT_EQ(model::success_probability_rayleigh(net, active, 2, beta).value(),
+              0.0)
+        << "noise " << noise;
+    const double expected =
+        model::expected_successes_rayleigh(net, active, beta);
+    EXPECT_TRUE(std::isfinite(expected)) << "noise " << noise;
+    EXPECT_GT(expected, 0.0);
+    for (std::uint64_t seed = 0; seed < 50; ++seed) {
+      std::vector<char> ok;
+      util::RngStream rng(seed);
+      (void)model::rayleigh_successes(net, active, beta, rng, ok);
+      EXPECT_EQ(ok[2], 0);
+      expect_one_uniform_each(net, active, 1.0, seed);
+    }
   }
 }
 
@@ -174,10 +183,7 @@ TEST(RayleighSuccess, ReceiversFormDecidesTheCounterfactualSet) {
           model::success_probability_rayleigh(net, with_r, r,
                                               units::Threshold(2.5))
               .value();
-      const double u = replay.uniform();
-      // The product and division forms agree to ~1e-14; a uniform inside
-      // that gap would make the replay ambiguous.
-      if (std::fabs(u - q) > 1e-12) EXPECT_EQ(ok[r] != 0, u < q);
+      EXPECT_EQ(ok[r] != 0, replay.uniform() < q);
       if (ok[r] != 0) ++expected;
     }
     EXPECT_EQ(count, expected);
@@ -194,20 +200,66 @@ TEST(RayleighSuccess, ReceiversFormDecidesTheCounterfactualSet) {
   }
 }
 
-// ---- value: the product form against the value function -------------------
+// ---- value: the product form against independent code --------------------
 
-// detail::success_chance of every member against success_probability_rayleigh
-// (division form) within 1e-12 relative.
+// Theorem 1 for every member of `active`, in set order, from core's
+// general-q expression rather than success_chance:
+// core::rayleigh_success_probability on the indicator vector of the set's
+// own gain matrix, entry (a, b) = S̄(active[a], active[b]). A repeated
+// interferer so counts once per copy, as in the kernel; the receiver's other
+// copies are off. Gains and noise are scaled by the power of two that puts
+// the largest gain near 1: Q_i is invariant under a common scale, the scale
+// is exact, and it keeps core's beta S̄ finite at the extreme magnitudes.
+std::vector<double> theorem1_reference(const model::Network& net,
+                                       const model::LinkSet& active,
+                                       double beta) {
+  const std::size_t m = active.size();
+  if (m == 0) return {};
+  double largest = 0.0;
+  for (model::LinkId j : active) {
+    for (model::LinkId i : active) {
+      largest = std::max(largest, net.mean_gain(j, i));
+    }
+  }
+  const int shift = -std::ilogb(largest);
+  std::vector<double> gains(m * m);
+  for (std::size_t a = 0; a < m; ++a) {
+    for (std::size_t b = 0; b < m; ++b) {
+      gains[a * m + b] =
+          std::ldexp(net.mean_gain(active[a], active[b]), shift);
+    }
+  }
+  const model::Network own(m, std::move(gains),
+                           units::Power(std::ldexp(net.noise(), shift)));
+  std::vector<double> values;
+  for (std::size_t a = 0; a < m; ++a) {
+    units::ProbabilityVector on(m, units::Probability(1.0));
+    for (std::size_t b = 0; b < m; ++b) {
+      if (b != a && active[b] == active[a]) on[b] = units::Probability(0.0);
+    }
+    values.push_back(
+        core::rayleigh_success_probability(own, on, a, units::Threshold(beta))
+            .value());
+  }
+  return values;
+}
+
+// detail::success_chance of every member against theorem1_reference within
+// 1e-12 relative, and the value function against success_chance bit for
+// bit.
 void expect_chance_matches_value(const model::Network& net,
                                  const model::LinkSet& active, double beta) {
-  for (model::LinkId i : active) {
+  const std::vector<double> reference = theorem1_reference(net, active, beta);
+  for (std::size_t a = 0; a < active.size(); ++a) {
+    const model::LinkId i = active[a];
     const double chance = model::detail::success_chance(
         net, active, i, units::Threshold(beta));
-    const double value =
-        model::success_probability_rayleigh(net, active, i,
-                                            units::Threshold(beta))
-            .value();
-    EXPECT_NEAR(chance, value, 1e-12 * value + DBL_MIN)
+    EXPECT_NEAR(chance, reference[a], 1e-12 * reference[a] + DBL_MIN)
+        << "link " << i << " beta " << beta;
+    EXPECT_EQ(model::success_probability_rayleigh(net, active, i,
+                                                  units::Threshold(beta))
+                  .value(),
+              chance)
         << "link " << i << " beta " << beta;
   }
 }
@@ -239,6 +291,11 @@ TEST(RayleighSuccess, SuccessChanceMatchesTheValueFunction) {
                                   scrambled_with_duplicate(12), beta);
       expect_chance_matches_value(
           raw_network(12, 1e-200, 1e-201, 0.8, 0.0, seed),
+          scrambled_with_duplicate(12), beta);
+      // A denormal own signal: beta / S(i,i) overflows from beta = 0.05 up,
+      // so the division branch decides.
+      expect_chance_matches_value(
+          raw_network(12, 1e-310, 1e-311, 0.8, 0.0, seed),
           scrambled_with_duplicate(12), beta);
     }
   }

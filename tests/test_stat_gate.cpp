@@ -56,15 +56,22 @@ model::LinkSet every_link(std::size_t n) {
   return set;
 }
 
-// Theorem 1 at q in {0,1} for every member of `active`, in set order.
+// Theorem 1 at q in {0,1} for receiver i against the set `on`, from core's
+// general-q expression on the set's indicator vector: code independent of
+// the kernel's product form.
+double theorem1(const model::Network& net, const model::LinkSet& on,
+                model::LinkId i, double beta) {
+  units::ProbabilityVector q(net.size(), units::Probability(0.0));
+  for (model::LinkId j : on) q[j] = units::Probability(1.0);
+  return core::rayleigh_success_probability(net, q, i, units::Threshold(beta))
+      .value();
+}
+
+// Theorem 1 for every member of `active`, in set order.
 std::vector<double> theorem1_law(const model::Network& net,
                                  const model::LinkSet& active, double beta) {
   std::vector<double> q;
-  for (model::LinkId i : active) {
-    q.push_back(model::success_probability_rayleigh(net, active, i,
-                                                    units::Threshold(beta))
-                    .value());
-  }
+  for (model::LinkId i : active) q.push_back(theorem1(net, active, i, beta));
   return q;
 }
 
@@ -150,9 +157,7 @@ TEST(StatGate, ReceiversFormFollowsTheorem1) {
   for (model::LinkId r : receivers) {
     model::LinkSet with_r = senders;
     if (r % 2 != 0) with_r.push_back(r);
-    q.push_back(model::success_probability_rayleigh(net, with_r, r,
-                                                    units::Threshold(beta))
-                    .value());
+    q.push_back(theorem1(net, with_r, r, beta));
   }
   const sg::Pairs pairs = sg::neighbour_pairs(receivers.size());
   const sg::Tally tally = sg::run(
