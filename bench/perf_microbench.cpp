@@ -86,22 +86,6 @@ void BM_Theorem1BatchEvaluate(benchmark::State& state) {
 }
 BENCHMARK(BM_Theorem1BatchEvaluate)->Arg(25)->Arg(100)->Arg(400)->Complexity();
 
-void BM_Theorem1UpdateLink(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const auto net = make_network(n, 4);
-  const auto q = units::probabilities(std::vector<double>(n, 0.5));
-  core::SuccessProbabilityKernel kernel(net, units::Threshold(2.5));
-  kernel.set_probabilities(q);
-  std::uint64_t tick = 0;
-  for (auto _ : state) {
-    kernel.update_link(static_cast<model::LinkId>(tick++ % n),
-                       units::Probability(0.25 + 0.5 * ((tick % 2) != 0u)));
-    benchmark::DoNotOptimize(kernel.success_probabilities().data());
-  }
-  state.SetComplexityN(static_cast<std::int64_t>(n));
-}
-BENCHMARK(BM_Theorem1UpdateLink)->Arg(25)->Arg(100)->Arg(400)->Complexity();
-
 void BM_GreedyCapacity(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto net = make_network(n, 5);

@@ -1,9 +1,8 @@
 // P5: Theorem-1 hot-path performance harness. Times the scalar per-link
-// public API (which re-validates per link), the batched kernel, and the
-// incremental update_link path at a sweep of network sizes, plus the
-// end-to-end RWM learning loop that consumes the batched path, and emits
-// the results as machine-readable JSON (BENCH_5.json) for the perf-smoke
-// CI gate and docs/PERFORMANCE.md.
+// public API (which re-validates per link) and the batched kernel at a
+// sweep of network sizes, plus the end-to-end RWM learning loop that
+// consumes the batched path, and emits the results as machine-readable
+// JSON (BENCH_5.json) for the perf-smoke CI gate and docs/PERFORMANCE.md.
 //
 // Methodology: each timer calibrates an inner iteration count so one
 // measurement window spans at least --min-time-ms, then reports the best
@@ -102,14 +101,9 @@ struct SizeResult {
   std::size_t n = 0;
   double scalar_ns_per_eval = 0.0;     ///< per-link public API, all n links
   double batched_ns_per_eval = 0.0;    ///< kernel.evaluate, all n links
-  double full_reeval_ns = 0.0;         ///< set_probabilities from scratch
-  double update_link_ns = 0.0;         ///< one incremental single-link change
   double checksum = 0.0;
   [[nodiscard]] double speedup_batched() const {
     return scalar_ns_per_eval / batched_ns_per_eval;
-  }
-  [[nodiscard]] double speedup_incremental() const {
-    return full_reeval_ns / update_link_ns;
   }
 };
 
@@ -146,27 +140,6 @@ SizeResult bench_size(std::size_t n, double beta_value, long long reps,
       [&] {
         kernel.evaluate(q, values);
         checksum += values[n / 2];
-      },
-      reps, min_time_ms);
-
-  // Incremental: a single-link change via the product forest, against the
-  // full from-scratch rebuild it replaces.
-  out.full_reeval_ns = best_ns_per_op(
-      [&] {
-        kernel.set_probabilities(q);
-        checksum += kernel.expected_successes();
-      },
-      reps, min_time_ms);
-  kernel.set_probabilities(q);
-  std::uint64_t tick = 0;
-  out.update_link_ns = best_ns_per_op(
-      [&] {
-        const auto id = static_cast<model::LinkId>(tick % n);
-        const units::Probability v(
-            0.05 + 0.9 * (static_cast<double>(tick % 13) / 13.0));
-        ++tick;
-        kernel.update_link(id, v);
-        checksum += kernel.expected_successes();
       },
       reps, min_time_ms);
 
@@ -236,17 +209,14 @@ int main(int argc, char** argv) {
   const double min_time_ms = flags.get_double("min-time-ms");
   const double beta = flags.get_double("beta");
 
-  util::Table table({"n", "scalar_ns", "batched_ns", "speedup", "reeval_ns",
-                     "update_ns", "incr_speedup"});
+  util::Table table({"n", "scalar_ns", "batched_ns", "speedup"});
   std::vector<SizeResult> results;
   for (const std::size_t n : sizes) {
     std::cerr << "perf_theorem1: timing n=" << n << "\n";
     results.push_back(bench_size(n, beta, reps, min_time_ms));
     const SizeResult& r = results.back();
     table.add_row({static_cast<long long>(r.n), r.scalar_ns_per_eval,
-                   r.batched_ns_per_eval, r.speedup_batched(),
-                   r.full_reeval_ns, r.update_link_ns,
-                   r.speedup_incremental()});
+                   r.batched_ns_per_eval, r.speedup_batched()});
   }
   std::cerr << "perf_theorem1: timing RWM end-to-end\n";
   const RwmResult rwm = bench_rwm(
@@ -260,8 +230,7 @@ int main(int argc, char** argv) {
   // Gate before writing: CI trusts the exit code.
   bool ok = std::isfinite(rwm.rounds_per_sec) && rwm.rounds_per_sec > 0.0;
   for (const SizeResult& r : results) {
-    for (const double v : {r.scalar_ns_per_eval, r.batched_ns_per_eval,
-                           r.full_reeval_ns, r.update_link_ns}) {
+    for (const double v : {r.scalar_ns_per_eval, r.batched_ns_per_eval}) {
       ok = ok && std::isfinite(v) && v > 0.0;
     }
   }
@@ -283,9 +252,6 @@ int main(int argc, char** argv) {
          << ", \"scalar_ns_per_eval\": " << json_num(r.scalar_ns_per_eval)  //
          << ", \"batched_ns_per_eval\": " << json_num(r.batched_ns_per_eval)
          << ", \"speedup_batched\": " << json_num(r.speedup_batched())
-         << ", \"full_reeval_ns\": " << json_num(r.full_reeval_ns)
-         << ", \"update_link_ns\": " << json_num(r.update_link_ns)
-         << ", \"speedup_incremental\": " << json_num(r.speedup_incremental())
          << ", \"checksum\": " << json_num(r.checksum) << "}"
          << (k + 1 < results.size() ? "," : "") << "\n";
   }

@@ -1,8 +1,8 @@
 # raysched: floating-point determinism hardening (the build-side companion
 # of the RS-N rules in tools/raysched_check).
 #
-# The Theorem-1 numerics are pinned bit-for-bit: the batched, incremental,
-# and log-space evaluators must reproduce the scalar reference exactly, and
+# The Theorem-1 numerics are pinned bit-for-bit: the batched and log-space
+# evaluators must reproduce the scalar reference exactly, and
 # tests/test_fp_determinism.cpp holds committed bit-pattern goldens that a
 # GCC and a Clang build must both hit. Two build-level hazards can silently
 # break that:

@@ -4,8 +4,8 @@
 #include <cmath>
 
 #include "core/success_probability.hpp"
-#include "core/success_probability_batch.hpp"
 #include "model/network.hpp"
+#include "model/rayleigh.hpp"
 #include "util/contracts.hpp"
 #include "util/error.hpp"
 #include "util/fp.hpp"
@@ -153,14 +153,65 @@ ProbabilityOptResult maximize_capacity_coordinate_ascent(
   require(options.restarts >= 1,
           "maximize_capacity_coordinate_ascent: restarts must be >= 1");
   const std::size_t n = net.size();
+  const units::Threshold threshold(beta);
   util::RngStream rng(options.seed);
 
-  // Incremental Theorem-1 kernel: trying a single-bit flip is an O(n log n)
-  // update_link + O(n) sum instead of a from-scratch O(n^2) evaluation, so a
-  // full sweep drops from O(n^3) to O(n^2 log n). The kernel's values drift
-  // from the scalar form only by ulps; the returned optimum is re-evaluated
-  // through the scalar reference path below.
-  core::SuccessProbabilityKernel kernel(net, units::Threshold(beta));
+  // q only ever holds 0/1, so Theorem 1 is the fixed-set product over the
+  // transmitting set A (ascending ids): chance[x] = Q_i(A) for i = set[x],
+  // and scale[x] = c_i = beta / S(i,i). Removing sender k multiplies each
+  // other Q_i by (1 + a), adding it divides by (1 + a), a = c_i S(k,i); so
+  // every flip gain is a closed form over A. A sweep costs O(n |A|), an
+  // accepted flip O(|A|^2) to recompute Q over the new A.
+  model::LinkSet set;
+  std::vector<double> chance;
+  std::vector<double> scale;
+  // a = c_i S(k,i) for receiver set[x]; where c_i overflows, one division
+  // per factor, as in success_chance.
+  const auto affect = [&](LinkId k, std::size_t x) {
+    const LinkId i = set[x];
+    RAYSCHED_EXPECT(net.signal(i) > 0.0,
+                    "a receiver with Q_i > 0 has a positive signal");
+    return std::isfinite(scale[x]) ? scale[x] * net.mean_gain(k, i)
+                                   : beta * net.mean_gain(k, i) / net.signal(i);
+  };
+  const auto refresh = [&](const std::vector<double>& q) {
+    set.clear();
+    for (LinkId i = 0; i < n; ++i) {
+      if (!util::fp::exact_zero(q[i])) set.push_back(i);
+    }
+    chance.resize(set.size());
+    scale.resize(set.size());
+    double value = 0.0;
+    for (std::size_t x = 0; x < set.size(); ++x) {
+      chance[x] = model::detail::success_chance(net, set, set[x], threshold);
+      // A zero Q_i gains or loses nothing in any flip; its c_i is unused.
+      scale[x] = net.signal(set[x]) > 0.0 ? beta / net.signal(set[x]) : 0.0;
+      value += chance[x];
+    }
+    return value;
+  };
+  // E(A xor {k}) - E(A).
+  const auto flip_gain = [&](const std::vector<double>& q, LinkId k) {
+    double gain = 0.0;
+    if (util::fp::exact_zero(q[k])) {
+      // success_chance of a non-member is its Q_k(A + k).
+      gain = model::detail::success_chance(net, set, k, threshold);
+      for (std::size_t x = 0; x < set.size(); ++x) {
+        if (util::fp::exact_zero(chance[x])) continue;
+        const double a = affect(k, x);
+        gain -= chance[x] * (std::isinf(a) ? 1.0 : a / (1.0 + a));
+      }
+    } else {
+      for (std::size_t x = 0; x < set.size(); ++x) {
+        if (set[x] == k) {
+          gain -= chance[x];
+        } else if (!util::fp::exact_zero(chance[x])) {
+          gain += chance[x] * affect(k, x);
+        }
+      }
+    }
+    return gain;
+  };
 
   ProbabilityOptResult best;
   best.value = -1.0;
@@ -170,8 +221,7 @@ ProbabilityOptResult maximize_capacity_coordinate_ascent(
     if (restart > 0) {
       for (auto& v : q) v = rng.bernoulli(0.5) ? 1.0 : 0.0;
     }
-    kernel.set_probabilities(units::probabilities(q));
-    double value = kernel.expected_successes();
+    double value = refresh(q);
     std::size_t sweeps = 0;
     bool converged = false;
     while (sweeps < options.max_sweeps) {
@@ -179,13 +229,8 @@ ProbabilityOptResult maximize_capacity_coordinate_ascent(
       // flip gain is exact and flipping the argmax is a steepest 1-opt move.
       double best_gain = 0.0;
       std::size_t best_idx = n;
-      for (std::size_t k = 0; k < n; ++k) {
-        const double old = q[k];
-        kernel.update_link(
-            k, units::Probability(util::fp::exact_zero(old) ? 1.0 : 0.0));
-        const double flipped = kernel.expected_successes();
-        kernel.update_link(k, units::Probability(old));
-        const double gain = flipped - value;
+      for (LinkId k = 0; k < n; ++k) {
+        const double gain = flip_gain(q, k);
         if (gain > best_gain + 1e-12) {
           best_gain = gain;
           best_idx = k;
@@ -197,8 +242,7 @@ ProbabilityOptResult maximize_capacity_coordinate_ascent(
         break;
       }
       q[best_idx] = util::fp::exact_zero(q[best_idx]) ? 1.0 : 0.0;
-      kernel.update_link(best_idx, units::Probability(q[best_idx]));
-      value += best_gain;
+      value = refresh(q);
     }
     if (value > best.value) {
       best.q = q;
@@ -207,7 +251,7 @@ ProbabilityOptResult maximize_capacity_coordinate_ascent(
       best.converged = converged;
     }
   }
-  // Re-evaluate exactly to avoid accumulated drift from incremental gains.
+  // The reported value is core's general-q evaluation of the optimum.
   best.value = expected_successes(net, best.q, beta);
   return best;
 }

@@ -15,6 +15,22 @@ namespace raysched::core {
 using model::LinkId;
 using model::Network;
 
+namespace {
+
+/// Receiver i's Theorem-1 factor 1 - c(j,i) q_j where beta*S(j,i) overflows
+/// and c = beta*S(j,i) / (beta*S(j,i) + S(i,i)) would be inf/inf: with
+/// a = S(j,i) (beta / S(i,i)) it is (1 + a (1 - q_j)) / (1 + a), and its
+/// limit 1 - q_j where a overflows too. Ordinary gains never come here.
+double overflow_factor(const Network& net, LinkId j, LinkId i, double b,
+                       double qj) {
+  RAYSCHED_EXPECT(net.signal(i) > 0.0,
+                  "Theorem 1 needs a positive signal S(i,i)");
+  const double a = net.mean_gain(j, i) * (b / net.signal(i));
+  return std::isinf(a) ? 1.0 - qj : (1.0 + a * (1.0 - qj)) / (1.0 + a);
+}
+
+}  // namespace
+
 void validate_probabilities(const Network& net,
                             const units::ProbabilityVector& q) {
   require(q.size() == net.size(),
@@ -36,8 +52,9 @@ double detail::rayleigh_success_probability_unchecked(
     if (j == i || util::fp::exact_zero(q[j].value())) continue;
     // beta / (beta + S(i,i)/S(j,i)) rewritten division-safely as
     // beta*S(j,i) / (beta*S(j,i) + S(i,i)); correct also when S(j,i) == 0.
-    const double sji = net.mean_gain(j, i);
-    p *= 1.0 - b * sji * q[j].value() / (b * sji + sii);
+    const double bs = b * net.mean_gain(j, i);
+    p *= std::isinf(bs) ? overflow_factor(net, j, i, b, q[j].value())
+                        : 1.0 - bs * q[j].value() / (bs + sii);
   }
   RAYSCHED_ENSURE(std::isfinite(p) && p >= 0.0 && p <= 1.0,
                   "Theorem-1 product form left [0,1]");
@@ -61,10 +78,17 @@ double detail::rayleigh_success_log_probability_unchecked(
   double lp = std::log(q[i].value()) + neg_exponent;
   for (LinkId j = 0; j < net.size(); ++j) {
     if (j == i || util::fp::exact_zero(q[j].value())) continue;
-    const double sji = net.mean_gain(j, i);
+    const double bs = b * net.mean_gain(j, i);
+    if (std::isinf(bs)) {
+      // 0 only where Q_i is: a overflows and q_j = 1.
+      const double factor = overflow_factor(net, j, i, b, q[j].value());
+      RAYSCHED_EXPECT(factor >= 0.0, "Theorem-1 factor must be >= 0");
+      lp += std::log(factor);
+      continue;
+    }
     // c(j,i) < 1 strictly (S(i,i) > 0), so the argument stays > -1 and
     // log1p is finite even where the linear product would underflow.
-    lp += std::log1p(-(b * sji / (b * sji + sii)) * q[j].value());
+    lp += std::log1p(-(bs / (bs + sii)) * q[j].value());
   }
   RAYSCHED_ENSURE(!(lp > 0.0), "Theorem-1 log probability must be <= 0");
   return lp;

@@ -1,6 +1,5 @@
 #include "core/success_probability_batch.hpp"
 
-#include <bit>
 #include <cmath>
 #include <limits>
 
@@ -18,9 +17,7 @@ using model::Network;
 
 SuccessProbabilityKernel::SuccessProbabilityKernel(const Network& net,
                                                    units::Threshold beta)
-    : n_(net.size()),
-      leaves_(std::bit_ceil(net.size() > 0 ? net.size() : std::size_t{1})),
-      beta_(beta) {
+    : n_(net.size()), beta_(beta) {
   require(beta.value() > 0.0,
           "SuccessProbabilityKernel: beta must be positive");
   const double b = beta_.value();
@@ -138,107 +135,6 @@ void SuccessProbabilityKernel::evaluate_log(const units::ProbabilityVector& q,
       out[i] += std::log1p(-row[i] * qj);
     }
   }
-}
-
-void SuccessProbabilityKernel::set_probabilities(
-    const units::ProbabilityVector& q) {
-  validate_input(q);
-  if (tree_.empty()) {
-    // Sized once, so update_link never allocates. Initializing the whole
-    // forest to 1.0 makes the padding leaves permanent identity factors.
-    tree_.assign(2 * leaves_ * n_, 1.0);
-    values_.resize(n_);
-  }
-  q_ = q;
-  for (LinkId j = 0; j < n_; ++j) {
-    double* leaf = tree_.data() + (leaves_ + j) * n_;
-    const double* row = c_.data() + j * n_;
-    const double qj = q_[j].value();
-    for (LinkId i = 0; i < n_; ++i) {
-      leaf[i] = 1.0 - row[i] * qj;
-    }
-  }
-  for (std::size_t k = leaves_ - 1; k >= 1; --k) {
-    refresh_interior(k);
-  }
-  refresh_values();
-  has_state_ = true;
-}
-
-// raysched:hot
-void SuccessProbabilityKernel::refresh_interior(std::size_t node) {
-  double* out = tree_.data() + node * n_;
-  const double* left = tree_.data() + 2 * node * n_;
-  const double* right = tree_.data() + (2 * node + 1) * n_;
-  for (LinkId i = 0; i < n_; ++i) {
-    out[i] = left[i] * right[i];
-  }
-}
-
-// raysched:hot
-void SuccessProbabilityKernel::refresh_values() {
-  const double* root = tree_.data() + n_;  // node 1
-  for (LinkId i = 0; i < n_; ++i) {
-    values_[i] = q_[i].value() * noise_factor_[i] * root[i];
-  }
-}
-
-// raysched:hot
-void SuccessProbabilityKernel::update_link(LinkId sender,
-                                           units::Probability value) {
-  require(has_state_,
-          "SuccessProbabilityKernel::update_link: call set_probabilities "
-          "first");
-  require(sender < n_,
-          "SuccessProbabilityKernel::update_link: id out of range");
-  require(value.value() >= 0.0 && value.value() <= 1.0,
-          "SuccessProbabilityKernel::update_link: probability must be in "
-          "[0,1]");
-  q_[sender] = value;
-  const double qj = value.value();
-  const std::size_t node = leaves_ + sender;
-  double* leaf = tree_.data() + node * n_;
-  const double* row = c_.data() + sender * n_;
-  for (LinkId i = 0; i < n_; ++i) {
-    leaf[i] = 1.0 - row[i] * qj;
-  }
-  for (std::size_t k = node / 2; k >= 1; k /= 2) {
-    refresh_interior(k);
-  }
-  refresh_values();
-}
-
-const std::vector<double>& SuccessProbabilityKernel::success_probabilities()
-    const {
-  require(has_state_,
-          "SuccessProbabilityKernel: call set_probabilities first");
-  return values_;
-}
-
-units::Probability SuccessProbabilityKernel::success_probability(
-    LinkId i) const {
-  require(has_state_,
-          "SuccessProbabilityKernel: call set_probabilities first");
-  require(i < n_,
-          "SuccessProbabilityKernel::success_probability: id out of range");
-  return units::Probability::clamped(values_[i]);
-}
-
-double SuccessProbabilityKernel::expected_successes() const {
-  require(has_state_,
-          "SuccessProbabilityKernel: call set_probabilities first");
-  double total = 0.0;
-  for (double v : values_) total += v;
-  RAYSCHED_ENSURE(std::isfinite(total) && total >= 0.0,
-                  "expected successes must be finite and non-negative");
-  return total;
-}
-
-const units::ProbabilityVector& SuccessProbabilityKernel::probabilities()
-    const {
-  require(has_state_,
-          "SuccessProbabilityKernel: call set_probabilities first");
-  return q_;
 }
 
 std::vector<double> batch_rayleigh_success_probabilities(

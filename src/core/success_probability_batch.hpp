@@ -1,27 +1,26 @@
 // raysched: batched evaluation of the Theorem-1 success probabilities.
 //
-// Every hot consumer of Theorem 1 under probabilistic access —
-// expected_rayleigh_successes, the latency bounds, fictitious play and the
-// probabilistic coordinate ascent — needs Q_i(q, beta) for ALL links at
-// once. Evaluating link-by-link through the scalar API costs O(n^2) per
-// batch with a division per (sender, receiver) pair plus a redundant O(n)
-// validation sweep per link. This header provides the batched path:
+// Consumers of Theorem 1 under probabilistic access — expected capacity,
+// the latency bounds and fictitious play — need Q_i(q, beta) for ALL
+// links at once. Evaluating link-by-link through the scalar API costs
+// O(n^2) per batch with a division per (sender, receiver) pair plus a
+// redundant O(n) validation sweep per link. This header provides the
+// batched path:
 //
 //  * SuccessProbabilityKernel precomputes the n x n normalized-affectance
 //    matrix c(j,i) = beta*S(j,i) / (beta*S(j,i) + S(i,i)) once per
 //    (network, beta), turning each Theorem-1 factor into the division-free
-//    form 1 - c(j,i) q_j. One-shot batch evaluation is a single pass over
-//    the matrix; log-space evaluation is available for large n where the
-//    plain product would underflow; and an incremental update_link refreshes
-//    all n values after a single-link change in O(n log n) instead of
-//    O(n^2) via per-link product trees.
+//    form 1 - c(j,i) q_j. Batch evaluation is a single pass over the
+//    matrix; log-space evaluation is available for large n where the plain
+//    product would underflow.
 //
 //  * batch_rayleigh_success_probabilities keeps the scalar function's exact
 //    expression and iteration order (bit-identical results) while hoisting
 //    validation out of the per-link loop; expected_rayleigh_successes sums
 //    it. A fixed transmitting set (q in {0,1}) needs no batch unit: its
 //    closed form is model::detail::success_chance, behind
-//    model::expected_successes_rayleigh.
+//    model::expected_successes_rayleigh and the coordinate ascent's flip
+//    gains.
 //
 // Layering: the kernel lives in core and must not include learning/ or sim/
 // (raysched_check RS-A1). Every entry point runs serially on the calling
@@ -36,17 +35,10 @@
 
 namespace raysched::core {
 
-/// Batched Theorem-1 evaluator bound to one (network, beta) pair.
-///
-/// Two modes share the precomputed affectance matrix:
-///
-///  * One-shot: evaluate / evaluate_conditional / evaluate_log take a fresh
-///    q and return all n values in one O(n^2) pass (no divisions).
-///  * Incremental: set_probabilities builds per-link product trees (O(n^2)),
-///    after which update_link refreshes every link's value in O(n log n).
-///    Tree products are accumulated in a fixed association order, so a
-///    sequence of update_link calls reproduces a from-scratch
-///    set_probabilities bit-for-bit.
+/// Batched Theorem-1 evaluator bound to one (network, beta) pair:
+/// evaluate / evaluate_conditional / evaluate_log take a q and return all n
+/// values in one O(n^2) pass over the precomputed affectance matrix (no
+/// divisions).
 ///
 /// The kernel copies everything it needs from the network in the
 /// constructor; it holds no reference and outlives the network safely.
@@ -91,53 +83,16 @@ class SuccessProbabilityKernel {
   [[nodiscard]] std::vector<double> evaluate_log(
       const units::ProbabilityVector& q) const;
 
-  /// Enters incremental mode: stores q, builds the per-link product trees
-  /// (O(n^2)), and caches all n success probabilities.
-  void set_probabilities(const units::ProbabilityVector& q);
-
-  /// Incremental single-link change: sets q[sender] = value and refreshes
-  /// every cached success probability in O(n log n) by recomputing one leaf
-  /// row and the log2(n) ancestors above it. Bit-for-bit equal to calling
-  /// set_probabilities with the updated vector. Requires set_probabilities
-  /// to have been called.
-  void update_link(model::LinkId sender, units::Probability value);
-
-  /// True once set_probabilities has been called.
-  [[nodiscard]] bool has_state() const { return has_state_; }
-
-  /// Cached Q_i values for the current q (incremental mode only).
-  [[nodiscard]] const std::vector<double>& success_probabilities() const;
-  [[nodiscard]] units::Probability success_probability(model::LinkId i) const;
-
-  /// Sum of the cached Q_i in ascending link order (incremental mode only).
-  [[nodiscard]] double expected_successes() const;
-
-  /// The probability vector currently held in incremental mode.
-  [[nodiscard]] const units::ProbabilityVector& probabilities() const;
-
  private:
   void validate_input(const units::ProbabilityVector& q) const;
-  void refresh_interior(std::size_t node);
-  void refresh_values();
 
   std::size_t n_ = 0;
-  std::size_t leaves_ = 1;  // bit_ceil(n): power-of-two leaf count per tree
   units::Threshold beta_;
   // c_[j*n + i] = c(j, i), zero on the diagonal.
   std::vector<double> c_;
   // neg_exponent_[i] = -beta*nu/S(i,i); noise_factor_[i] = exp(neg_exponent_).
   std::vector<double> neg_exponent_;
   std::vector<double> noise_factor_;
-  // Transposed product forest: row k (k in [1, 2*leaves_)) holds node k of
-  // every link's tree contiguously, so leaf and path refreshes are linear
-  // sweeps. Row k = n_ doubles at tree_[k*n_]. Allocated by the first
-  // set_probabilities; one-shot evaluation never pays for it. Rows
-  // [leaves_+n_, 2*leaves_) are padding leaves of links that do not exist,
-  // held at 1.0 so they multiply as exact identities.
-  std::vector<double> tree_;
-  std::vector<double> values_;
-  units::ProbabilityVector q_;
-  bool has_state_ = false;
 };
 
 /// Fused batch form of the scalar Theorem-1 per-link values: validates q

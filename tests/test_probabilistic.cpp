@@ -6,6 +6,7 @@
 #include <cmath>
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "test_helpers.hpp"
 
@@ -93,17 +94,51 @@ TEST(CoordinateAscent, ReturnsVertexProfile) {
 }
 
 TEST(CoordinateAscent, OneFlipLocalOptimality) {
-  auto net = paper_network(12, 3);
+  // The ascent ranks flips by closed-form gains over its transmitting set;
+  // core's general-q evaluation is the independent check. Inputs: random
+  // networks at three sizes, one at zero noise, and one of mostly zero
+  // cross gains whose ascent has to remove a link.
+  std::vector<model::Network> nets;
+  for (std::size_t n : {12ul, 40ul, 120ul}) {
+    for (std::uint64_t seed : {3ull, 4ull, 5ull}) {
+      nets.push_back(paper_network(n, seed));
+    }
+  }
+  nets.push_back(paper_network(40, 6, 2.2, 0.0));
+  {
+    // Four disjoint copies of a 3-link gadget at beta = 2.5: alone, links
+    // 0, 1, 2 succeed w.p. e^-0.1, e^-0.05, e^-0.2. Sender 1 hits
+    // receiver 0 with a = 9, sender 2 hits receiver 1 with a = 3, and every
+    // other cross gain is exactly zero. From the empty set the ascent adds
+    // links 1, 2 and 0 of each copy, then must remove link 1: a removal
+    // whose gain rests on the large a.
+    const std::size_t copies = 4;
+    const std::size_t n = 3 * copies;
+    std::vector<double> gains(n * n, 0.0);
+    for (std::size_t b = 0; b < n; b += 3) {
+      gains[b * n + b] = 1.0;
+      gains[(b + 1) * n + b + 1] = 2.0;
+      gains[(b + 2) * n + b + 2] = 0.5;
+      gains[(b + 1) * n + b] = 3.6;
+      gains[(b + 2) * n + b + 1] = 2.4;
+    }
+    nets.emplace_back(n, std::move(gains), units::Power(0.04));
+  }
   const double beta = 2.5;
-  const auto result = maximize_capacity_coordinate_ascent(net, beta);
-  // No single flip improves the objective (multilinearity makes this the
-  // exact local-optimality certificate).
-  for (LinkId k = 0; k < net.size(); ++k) {
-    std::vector<double> flipped = result.q;
-    flipped[k] = flipped[k] == 0.0 ? 1.0 : 0.0;
-    EXPECT_LE(core::expected_rayleigh_successes(net, units::probabilities(flipped), units::Threshold(beta)),
-              result.value + 1e-9)
-        << "flip " << k;
+  for (std::size_t t = 0; t < nets.size(); ++t) {
+    const model::Network& net = nets[t];
+    SCOPED_TRACE(::testing::Message() << "network " << t);
+    const auto result = maximize_capacity_coordinate_ascent(net, beta);
+    // No single flip improves the objective (multilinearity makes this the
+    // exact local-optimality certificate).
+    for (LinkId k = 0; k < net.size(); ++k) {
+      std::vector<double> flipped = result.q;
+      flipped[k] = flipped[k] == 0.0 ? 1.0 : 0.0;
+      EXPECT_LE(core::expected_rayleigh_successes(
+                    net, units::probabilities(flipped), units::Threshold(beta)),
+                result.value + 1e-9)
+          << "flip " << k;
+    }
   }
 }
 
@@ -154,10 +189,10 @@ TEST(CoordinateAscent, RayleighOptimumAtLeastNonFadingTransfer) {
   EXPECT_GE(opt.value + 1e-9, transferred);
 }
 
-// Goldens for the incremental kernel's one remaining caller, captured
-// before the kernel lost its sparse refresh: the returned 0/1 profile (as a
-// bit string), the sweep count of the winning restart, and the bits of the
-// re-evaluated value. Restart 0 starts from q = 0, the old sparse regime.
+// Goldens captured when the ascent still ran on the kernel's product
+// forest, and kept by the closed-form flip gains: the returned 0/1 profile
+// (as a bit string), the sweep count of the winning restart, and the bits
+// of the re-evaluated value. Restart 0 starts from q = 0.
 TEST(CoordinateAscent, GoldenOptimaAtThreeSizes) {
   struct Golden {
     std::size_t n;

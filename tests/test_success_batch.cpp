@@ -8,11 +8,6 @@
 //  * The kernel's division-free matrix form differs from the scalar
 //    division form only in per-factor rounding — tested at ulp scale
 //    (relative 1e-12 over products of up to ~500 factors).
-//
-// The incremental path has its own bitwise pin: a chain of update_link
-// calls must reproduce a from-scratch set_probabilities exactly, because
-// the coordinate-ascent consumer relies on hill-climbing decisions not
-// drifting with the update history.
 #include <gtest/gtest.h>
 
 #include <cmath>
@@ -229,106 +224,6 @@ TEST(SuccessBatch, ValidatesInput) {
   EXPECT_THROW(model::expected_successes_rayleigh(net, {0, 9},
                                                   units::Threshold(1.0)),
                raysched::error);  // id out of range
-}
-
-// ---------------------------------------------------------------------------
-// Incremental mode: update_link must match from-scratch bit-for-bit.
-// ---------------------------------------------------------------------------
-
-TEST(SuccessBatchIncremental, UpdateLinkMatchesFromScratchBitwise) {
-  // Non-power-of-two size so the padded tree leaves are exercised.
-  const std::size_t n = 33;
-  auto net = paper_network(n, 21);
-  const units::Threshold beta(2.5);
-  std::vector<double> q = random_profile(n, 0xD1CE);
-
-  SuccessProbabilityKernel incremental(net, beta);
-  incremental.set_probabilities(units::probabilities(q));
-  EXPECT_TRUE(incremental.has_state());
-
-  util::RngStream rng(314);
-  for (int step = 0; step < 40; ++step) {
-    const auto id = static_cast<LinkId>(rng.uniform_index(n));
-    // Mix interior values with exact 0 and 1 edges.
-    const double v = step % 7 == 0 ? 0.0 : step % 5 == 0 ? 1.0 : rng.uniform();
-    q[id] = v;
-    incremental.update_link(id, units::Probability(v));
-
-    SuccessProbabilityKernel fresh(net, beta);
-    fresh.set_probabilities(units::probabilities(q));
-    for (LinkId i = 0; i < n; ++i) {
-      // Bitwise: the incremental contract is exact reproduction.
-      EXPECT_EQ(incremental.success_probabilities()[i],
-                fresh.success_probabilities()[i])
-          << "step " << step << " link " << i;
-    }
-    EXPECT_EQ(incremental.expected_successes(), fresh.expected_successes())
-        << "step " << step;
-  }
-  // The stored vector tracked every change.
-  for (LinkId i = 0; i < n; ++i) {
-    EXPECT_EQ(incremental.probabilities()[i].value(), q[i]);
-  }
-
-  // Single-link network: the forest has one leaf and no interior rows.
-  model::Network tiny(1, std::vector<double>{4.0}, units::Power(0.1));
-  SuccessProbabilityKernel one(tiny, units::Threshold(1.0));
-  one.set_probabilities(units::probabilities({0.25}));
-  one.update_link(0, units::Probability(0.75));
-  SuccessProbabilityKernel fresh(tiny, units::Threshold(1.0));
-  fresh.set_probabilities(units::probabilities({0.75}));
-  EXPECT_EQ(one.success_probabilities()[0], fresh.success_probabilities()[0]);
-  one.update_link(0, units::Probability(0.0));
-  EXPECT_EQ(one.success_probabilities()[0], 0.0);
-}
-
-TEST(SuccessBatchIncremental, AgreesWithOneShotAndScalar) {
-  auto net = paper_network(17, 8);
-  const units::Threshold beta(1.5);
-  const auto q = units::probabilities(random_profile(17, 99));
-  SuccessProbabilityKernel kernel(net, beta);
-  kernel.set_probabilities(q);
-  const std::vector<double> oneshot = kernel.evaluate(q);
-  for (LinkId i = 0; i < 17; ++i) {
-    // Tree association order differs from the sequential product, so this
-    // comparison is ulp-scale, not bitwise.
-    expect_ulp_close(kernel.success_probabilities()[i], oneshot[i],
-                     "incremental value", i);
-    expect_ulp_close(kernel.success_probability(i).value(),
-                     rayleigh_success_probability(net, q, i, beta).value(),
-                     "incremental vs scalar", i);
-  }
-}
-
-TEST(SuccessBatchIncremental, SetProbabilitiesIsRepeatable) {
-  auto net = paper_network(9, 13);
-  const units::Threshold beta(2.0);
-  SuccessProbabilityKernel kernel(net, beta);
-  kernel.set_probabilities(units::probabilities(random_profile(9, 1)));
-  const auto q2 = units::probabilities(random_profile(9, 2));
-  kernel.set_probabilities(q2);
-
-  SuccessProbabilityKernel fresh(net, beta);
-  fresh.set_probabilities(q2);
-  for (LinkId i = 0; i < 9; ++i) {
-    EXPECT_EQ(kernel.success_probabilities()[i],
-              fresh.success_probabilities()[i]);
-  }
-}
-
-TEST(SuccessBatchIncremental, GuardsItsPreconditions) {
-  auto net = hand_matrix_network();
-  SuccessProbabilityKernel kernel(net, units::Threshold(1.0));
-  EXPECT_FALSE(kernel.has_state());
-  EXPECT_THROW(kernel.update_link(0, units::Probability(0.5)),
-               raysched::error);  // before set_probabilities
-  EXPECT_THROW(kernel.success_probabilities(), raysched::error);
-  EXPECT_THROW(kernel.expected_successes(), raysched::error);
-  EXPECT_THROW(kernel.probabilities(), raysched::error);
-  kernel.set_probabilities(units::probabilities({0.5, 0.5, 0.5}));
-  EXPECT_THROW(kernel.update_link(9, units::Probability(0.5)),
-               raysched::error);  // id out of range
-  EXPECT_THROW(kernel.success_probability(9), raysched::error);
 }
 
 }  // namespace

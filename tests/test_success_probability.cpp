@@ -15,12 +15,39 @@ using raysched::testing::hand_matrix_network;
 using raysched::testing::paper_network;
 
 TEST(Theorem1, ReducesToSlotFormWhenProbabilitiesAreBinary) {
-  auto net = hand_matrix_network(0.2);
-  const double beta = 1.5;
-  const std::vector<double> q = {1.0, 1.0, 0.0};
-  EXPECT_NEAR(rayleigh_success_probability(net, units::probabilities(q), 0, units::Threshold(beta)).value(),
-              model::success_probability_rayleigh(net, {0, 1}, 0, units::Threshold(beta)).value(),
-              1e-12);
+  // At a 0/1 q, links 0 and 1 transmitting, the linear and log forms must
+  // give the model's fixed-set value. In the second network beta*S(j,i)
+  // overflows (gains 1e200/1e199, beta = 2^450) while Q_i is 3.4e-135; in
+  // the third, S(j,i) beta / S(i,i) overflows too and Q_i is 0.
+  struct Case {
+    model::Network net;
+    double beta;
+  };
+  const Case cases[] = {
+      {hand_matrix_network(0.2), 1.5},
+      {model::Network(2, {1e200, 1e199, 1e199, 1e200}, units::Power(0.0)),
+       std::ldexp(1.0, 450)},
+      {model::Network(2, {1e-10, 1e300, 1e300, 1e-10}, units::Power(0.0)),
+       1e20},
+  };
+  const model::LinkSet set = {0, 1};
+  for (const Case& c : cases) {
+    const units::Threshold beta(c.beta);
+    std::vector<double> q(c.net.size(), 0.0);
+    for (LinkId j : set) q[j] = 1.0;
+    for (LinkId i : set) {
+      SCOPED_TRACE(::testing::Message() << "beta " << c.beta << " link " << i);
+      const double want =
+          model::success_probability_rayleigh(c.net, set, i, beta).value();
+      const double linear =
+          rayleigh_success_probability(c.net, units::probabilities(q), i, beta)
+              .value();
+      const double log = rayleigh_success_log_probability(
+          c.net, units::probabilities(q), i, beta);
+      EXPECT_NEAR(linear, want, want * 1e-12);
+      EXPECT_NEAR(std::exp(log), want, want * 1e-12);
+    }
+  }
 }
 
 TEST(Theorem1, ZeroProbabilityMeansZeroSuccess) {
