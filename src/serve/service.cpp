@@ -70,6 +70,10 @@ Service::Service(model::Network net, const ServeConfig& config)
   departed_flags_.assign(net_.size(), 0);
   feedback_attempt_.assign(net_.size(), 0);
   feedback_success_.assign(net_.size(), 0);
+  // A slot has at most one arrival event per link and one churn event per
+  // link, so these never grow inside the slot loop.
+  arrivals_scratch_.reserve(net_.size());
+  churn_scratch_.reserve(net_.size());
   rebuild_block();
 }
 
@@ -80,8 +84,11 @@ std::uint64_t Service::total_backlog() const {
 }
 
 bool Service::conservation_holds() const {
-  return arrivals_total_ ==
-         served_total_ + total_backlog() + drops_.total();
+  return conservation_holds(total_backlog());
+}
+
+bool Service::conservation_holds(std::uint64_t backlog) const {
+  return arrivals_total_ == served_total_ + backlog + drops_.total();
 }
 
 void Service::bump_backoff(std::uint64_t slot) {
@@ -132,15 +139,18 @@ void Service::apply_churn(std::uint64_t slot,
   }
 
   if (util::fp::exact_zero(leave) && util::fp::exact_zero(join)) return;
-  for (model::LinkId i = 0; i < net_.size(); ++i) {
-    if (active_[i] != 0) {
-      if (leave > 0.0 && rng.bernoulli(leave)) {
-        active_[i] = 0;
-        departed_flags_[i] = 1;
-        drops_.churn += queue_[i];
-        queue_[i] = 0;
-      }
-    } else if (join > 0.0 && rng.bernoulli(join)) {
+  // Both lists are drawn against the mask as it stands here, before
+  // either is applied.
+  std::vector<model::LinkId>& ids = churn_scratch_;
+  const std::size_t leavers = churn_events(rng, leave, join, active_, ids);
+  for (std::size_t k = 0; k < ids.size(); ++k) {
+    const model::LinkId i = ids[k];
+    if (k < leavers) {
+      active_[i] = 0;
+      departed_flags_[i] = 1;
+      drops_.churn += queue_[i];
+      queue_[i] = 0;
+    } else {
       active_[i] = 1;  // rejoins with an empty queue
     }
   }
@@ -157,9 +167,9 @@ std::uint64_t Service::apply_arrivals(std::uint64_t slot) {
           ? std::max<std::uint64_t>(1, config_.queue_cap / 2)
           : config_.queue_cap;
   std::uint64_t offered = 0;
-  for (std::size_t i = 0; i < arrivals_scratch_.size(); ++i) {
-    const std::uint64_t count = arrivals_scratch_[i];
-    if (count == 0) continue;
+  for (const ArrivalEvent& event : arrivals_scratch_) {
+    const std::uint64_t count = event.count;
+    const std::size_t i = event.link;
     offered += count;
     if (state == HealthState::Quarantined) {
       // Quarantine refuses all new work: the network data cannot be
@@ -188,13 +198,19 @@ void Service::submit_recompute(std::uint64_t slot) {
   ScheduleRequest request;
   std::vector<double>& weights = request.weights;
   weights.assign(n, 0.0);
-  std::size_t active_count = 0;
+  std::size_t active_count = 0, departed = 0, attempted = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (active_[i] != 0) {
       ++active_count;
       weights[i] = static_cast<double>(queue_[i]);
     }
+    departed += departed_flags_[i] != 0 ? 1 : 0;
+    attempted += feedback_attempt_[i] != 0 ? 1 : 0;
   }
+  // The payload lists below take one allocation each, not a growth chain.
+  request.departed.reserve(departed);
+  request.feedback_schedule.reserve(attempted);
+  request.feedback_success.reserve(attempted);
   if (monitor_.state() == HealthState::Overloaded && active_count > 0) {
     // Shed load by shrinking the scheduled set: only the heaviest fraction
     // of active queues keeps a nonzero weight (ties broken by link id so
@@ -410,6 +426,9 @@ ServeReport Service::run(std::uint64_t slots) {
   // below then never reallocates, keeping the slot loop allocation-free.
   report.digests.reserve(slots);
   std::vector<double> burst_scratch;
+  // The O(n) recount, once per slot; it feeds the health monitor, the
+  // conservation check and, after the last slot, the report.
+  std::uint64_t backlog = 0;
 
   // raysched:hot(slot-loop)
   for (std::uint64_t step = 0; step < slots; ++step) {
@@ -455,9 +474,9 @@ ServeReport Service::run(std::uint64_t slots) {
     manage_recompute(slot);
     const std::uint64_t served = serve_slot(slot);
 
-    const std::uint64_t backlog = total_backlog();
+    backlog = total_backlog();
     monitor_.end_slot(slot, backlog, schedule_stale_);
-    if (!conservation_holds()) conservation_violated_ = true;
+    if (!conservation_holds(backlog)) conservation_violated_ = true;
 
     SlotDigest digest;
     digest.slot = slot;
@@ -482,7 +501,9 @@ ServeReport Service::run(std::uint64_t slots) {
   report.arrivals = arrivals_total_;
   report.admitted = admitted_total_;
   report.served = served_total_;
-  report.backlog = total_backlog();
+  // No slot ran (run(0), or a crash at the first): count the queues now.
+  if (report.slots_run == 0) backlog = total_backlog();
+  report.backlog = backlog;
   report.drops = drops_;
   report.recompute_timeouts = recompute_timeouts_;
   report.recompute_failures = recompute_failures_;
@@ -492,7 +513,8 @@ ServeReport Service::run(std::uint64_t slots) {
   report.health = monitor_.state();
   report.transitions = monitor_.transitions();
   report.trajectory_hash = hash_;
-  report.conservation_ok = !conservation_violated_ && conservation_holds();
+  report.conservation_ok =
+      !conservation_violated_ && conservation_holds(backlog);
   return report;
 }
 

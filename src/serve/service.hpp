@@ -195,6 +195,8 @@ class Service {
   /// Exact integer conservation check: arrivals == served + backlog +
   /// drops. False means an unexplained drop.
   [[nodiscard]] bool conservation_holds() const;
+  /// The same check against a backlog the caller has just counted.
+  [[nodiscard]] bool conservation_holds(std::uint64_t backlog) const;
 
  private:
   void apply_churn(std::uint64_t slot, const std::vector<double>& burst_fracs);
@@ -274,11 +276,11 @@ class Service {
   // The `scratch` suffix is load-bearing — raysched_check exempts these
   // names from its hot-region allocation rules (RS-M1, RS-M3).
   std::vector<FaultEvent> slot_events_;             // fault events, per slot
-  std::vector<std::uint32_t> arrivals_scratch_;     // per-link arrivals
+  std::vector<ArrivalEvent> arrivals_scratch_;      // arrival events
   model::LinkSet live_scratch_;                     // live schedule positions
   std::vector<double> sinr_scratch_;                // non-fading SINRs
   std::vector<char> success_scratch_;               // per-live decisions
-  std::vector<model::LinkId> churn_scratch_;        // burst victim candidates
+  std::vector<model::LinkId> churn_scratch_;        // churn candidates
 };
 
 }  // namespace raysched::serve

@@ -7,6 +7,16 @@
 
 namespace raysched::testing {
 
+/// One slot's arrival events as per-link counts, 0 where a link has none.
+inline std::vector<std::uint32_t> dense_arrivals(
+    const std::vector<serve::ArrivalEvent>& events, std::size_t n) {
+  std::vector<std::uint32_t> counts(n, 0);
+  for (const serve::ArrivalEvent& event : events) {
+    counts.at(event.link) += event.count;
+  }
+  return counts;
+}
+
 /// Two parallel links far apart: both trivially feasible at moderate beta.
 inline model::Network two_far_links(double noise = 0.0) {
   std::vector<model::Link> links = {

@@ -16,6 +16,7 @@
 // deltas prove the per-slot cost is exactly zero.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
@@ -88,11 +89,7 @@ serve::ServeConfig steady_config(core::Propagation propagation) {
   return config;
 }
 
-void expect_zero_alloc_slots(
-    core::Propagation propagation,
-    serve::PolicyKind policy = serve::PolicyKind::MaxWeight) {
-  serve::ServeConfig config = steady_config(propagation);
-  config.policy = policy;
+void expect_zero_alloc_slots(const serve::ServeConfig& config) {
   serve::Service service(paper_network(16, 77), config);
 
   // Warm-up: scratch buffers reach their fixed capacities, the first
@@ -115,26 +112,66 @@ void expect_zero_alloc_slots(
 }
 
 TEST(HotPathAllocs, SteadyStateSlotLoopNonFading) {
-  expect_zero_alloc_slots(core::Propagation::NonFading);
+  expect_zero_alloc_slots(steady_config(core::Propagation::NonFading));
 }
 
 TEST(HotPathAllocs, SteadyStateSlotLoopRayleigh) {
-  expect_zero_alloc_slots(core::Propagation::Rayleigh);
+  expect_zero_alloc_slots(steady_config(core::Propagation::Rayleigh));
 }
 
 // AHM sets carry no feasibility certificate, so every quiet slot decides
 // its live subset on the schedule's gain block.
 TEST(HotPathAllocs, SteadyStateSlotLoopAhmRayleigh) {
-  expect_zero_alloc_slots(core::Propagation::Rayleigh,
-                          serve::PolicyKind::Ahm);
+  serve::ServeConfig config = steady_config(core::Propagation::Rayleigh);
+  config.policy = serve::PolicyKind::Ahm;
+  expect_zero_alloc_slots(config);
+}
+
+// Random churn collects its leave and join events into storage reserved
+// for one event per link.
+TEST(HotPathAllocs, SteadyStateSlotLoopAhmRayleighWithChurn) {
+  serve::ServeConfig config = steady_config(core::Propagation::Rayleigh);
+  config.policy = serve::PolicyKind::Ahm;
+  config.churn_leave = units::Probability(0.05);
+  config.churn_join = units::Probability(0.2);
+  expect_zero_alloc_slots(config);
+}
+
+// Three packets per link per slot: a slot's packet total is about three
+// times n, yet it yields at most one arrival event per link, so the event
+// storage reserved at construction never grows.
+TEST(HotPathAllocs, SteadyStateSlotLoopMorePacketsThanLinks) {
+  serve::ServeConfig config = steady_config(core::Propagation::Rayleigh);
+  config.traffic.mean_rate = 3.0;
+  expect_zero_alloc_slots(config);
+
+  // The generator alone: n reserved events hold every slot from the first.
+  constexpr std::size_t n = 16;
+  serve::TrafficGenerator traffic(config.traffic, n);
+  const std::vector<char> active(n, 1);
+  std::vector<serve::ArrivalEvent> events;
+  events.reserve(n);
+  util::RngStream rng(8);
+  std::size_t most = 0;
+  const std::uint64_t base = alloc_count();
+  for (int slot = 0; slot < 1000; ++slot) {
+    traffic.arrivals(rng, active, events);
+    most = std::max(most, events.size());
+  }
+  EXPECT_EQ(alloc_count() - base, 0u);
+  EXPECT_LE(most, n);
+  EXPECT_EQ(events.capacity(), n);
 }
 
 // Recompute every slot, inline agent: an upper bound on the allocations
 // of run(256) after a 64-slot warm-up, for each policy and propagation.
 // The bound is the count measured when the pin was set, so one more
-// allocation per recompute fails it. The known sources (none is free yet):
-//   * the ScheduleRequest built per submit, taken by value and copied
-//     into the agent's task;
+// allocation per recompute fails it. The counts follow the trajectory, so
+// a change to the traffic draws moves them too. The known sources (none is
+// free yet):
+//   * the ScheduleRequest built per submit (its payload lists reserved to
+//     size, one allocation each), taken by value and copied into the
+//     agent's task;
 //   * the pool's std::function task;
 //   * RecomputeOutcome::schedule and its `what` string;
 //   * per-call vectors in the AHM policy;
@@ -155,25 +192,25 @@ std::uint64_t recompute_run_allocs(serve::PolicyKind policy,
 TEST(HotPathAllocs, RecomputeSlotsMaxWeightNonFading) {
   EXPECT_LE(recompute_run_allocs(serve::PolicyKind::MaxWeight,
                                  core::Propagation::NonFading),
-            2902u);
+            1661u);
 }
 
 TEST(HotPathAllocs, RecomputeSlotsMaxWeightRayleigh) {
   EXPECT_LE(recompute_run_allocs(serve::PolicyKind::MaxWeight,
                                  core::Propagation::Rayleigh),
-            2854u);
+            1599u);
 }
 
 TEST(HotPathAllocs, RecomputeSlotsAhmNonFading) {
   EXPECT_LE(recompute_run_allocs(serve::PolicyKind::Ahm,
                                  core::Propagation::NonFading),
-            3081u);
+            1808u);
 }
 
 TEST(HotPathAllocs, RecomputeSlotsAhmRayleigh) {
   EXPECT_LE(recompute_run_allocs(serve::PolicyKind::Ahm,
                                  core::Propagation::Rayleigh),
-            3116u);
+            1837u);
 }
 
 // The work of a max-weight recompute: the greedy oracle over

@@ -439,8 +439,8 @@ TEST(RayleighSuccess, GoldenAhmServiceWithChurn) {
   config.agent_threads = 1;
   serve::Service service(paper_network(48, 17), config);
   const serve::ServeReport report = service.run(800);
-  EXPECT_EQ(service.trajectory_hash(), 0xeeb9a8997d140c6cULL);
-  EXPECT_EQ(report.served, 5974u);
+  EXPECT_EQ(service.trajectory_hash(), 0xd492924007579b60ULL);
+  EXPECT_EQ(report.served, 5819u);
 }
 
 TEST(RayleighSuccess, GoldenCountSuccesses) {

@@ -1,8 +1,9 @@
 // The statistical gate (stat_gate.hpp) on the repo's samplers: the Rayleigh
 // threshold kernel against Theorem 1's Q_i and against the pairwise
-// reference sinr_rayleigh_all, and Poisson arrivals against the pmf. Two
-// power cases show the gate rejecting samplers that are wrong by little: a
-// beta scaled by 1.01, and one uniform shared by two receivers.
+// reference sinr_rayleigh_all, Poisson arrivals against the pmf, and random
+// churn against per-link Bernoulli trials. Two power cases show the gate
+// rejecting samplers that are wrong by little: a beta scaled by 1.01, and
+// one uniform shared by two receivers.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -191,9 +192,10 @@ TEST(StatGate, PoissonArrivalsFollowThePmf) {
   std::uint64_t idle = 0;
   double sum = 0.0, sq = 0.0;
   util::RngStream rng(15);
-  std::vector<std::uint32_t> out;
+  std::vector<serve::ArrivalEvent> events;
   for (std::size_t t = 0; t < kTrials; ++t) {
-    traffic.arrivals(rng, active, out);
+    traffic.arrivals(rng, active, events);
+    const std::vector<std::uint32_t> out = testing::dense_arrivals(events, n);
     double total = 0.0;
     for (std::size_t i = 0; i < n; ++i) {
       if (active[i] == 0) {
@@ -232,6 +234,80 @@ TEST(StatGate, PoissonArrivalsFollowThePmf) {
   gate.check("total mean", sum, trials * total_mean, trials * total_mean);
   gate.check("total variance", sq, trials * total_mean,
              trials * (total_mean + 2.0 * total_mean * total_mean));
+  const sg::Verdict v = gate.verdict();
+  EXPECT_TRUE(v.pass) << v.failures;
+}
+
+TEST(StatGate, ChurnFollowsBernoulli) {
+  // Per link: an active link leaves with probability leave, an inactive one
+  // joins with probability join, and neither ever takes the other's event.
+  // Per slot: the event count against its Poisson-binomial law. Pairs: both
+  // links of a pair churn in the same slot. No link leaves and joins at once.
+  constexpr std::size_t n = 16;
+  constexpr double leave = 0.05;
+  constexpr double join = 0.2;
+  const std::vector<char> active = {1, 1, 0, 1, 0, 0, 1, 1,
+                                    1, 0, 1, 0, 1, 1, 0, 0};
+  std::vector<double> p(n);
+  double mean = 0.0, var = 0.0, kappa4 = 0.0;
+  for (std::size_t i = 0; i < n; ++i) {
+    p[i] = active[i] != 0 ? leave : join;
+    const double v = p[i] * (1.0 - p[i]);
+    mean += p[i];
+    var += v;
+    kappa4 += v * (1.0 - 6.0 * v);
+  }
+
+  std::vector<std::uint64_t> hits(n, 0), joint(n - 1, 0);
+  std::uint64_t wrong_state = 0, both = 0, unordered = 0;
+  double sum = 0.0, sq = 0.0;
+  util::RngStream rng(16);
+  std::vector<std::size_t> ids;
+  std::vector<char> left(n), joined(n), churned(n);
+  for (std::size_t t = 0; t < kTrials; ++t) {
+    const std::size_t leavers =
+        serve::churn_events(rng, leave, join, active, ids);
+    std::fill(left.begin(), left.end(), 0);
+    std::fill(joined.begin(), joined.end(), 0);
+    for (std::size_t k = 0; k < ids.size(); ++k) {
+      const std::size_t i = ids[k];
+      const bool leaving = k < leavers;
+      if (leaving != (active[i] != 0)) ++wrong_state;
+      if (k > 0 && k != leavers && ids[k - 1] >= i) ++unordered;
+      (leaving ? left : joined)[i] = 1;
+    }
+    for (std::size_t i = 0; i < n; ++i) {
+      if (left[i] != 0 && joined[i] != 0) ++both;
+      churned[i] = static_cast<char>(left[i] | joined[i]);
+      hits[i] += static_cast<std::uint64_t>(churned[i]);
+    }
+    for (std::size_t i = 0; i + 1 < n; ++i) {
+      if (churned[i] != 0 && churned[i + 1] != 0) ++joint[i];
+    }
+    const double total = static_cast<double>(ids.size());
+    sum += total;
+    sq += (total - mean) * (total - mean);
+  }
+
+  sg::Gate gate;
+  const double trials = static_cast<double>(kTrials);
+  gate.check("event on a link in the other state",
+             static_cast<double>(wrong_state), 0.0, 0.0);
+  gate.check("leave and join in one slot", static_cast<double>(both), 0.0,
+             0.0);
+  gate.check("lists not ascending", static_cast<double>(unordered), 0.0, 0.0);
+  for (std::size_t i = 0; i < n; ++i) {
+    gate.check("link " + std::to_string(i), static_cast<double>(hits[i]),
+               trials * p[i], trials * p[i] * (1.0 - p[i]));
+  }
+  for (std::size_t i = 0; i + 1 < n; ++i) {
+    const double pp = p[i] * p[i + 1];
+    gate.check("pair " + std::to_string(i), static_cast<double>(joint[i]),
+               trials * pp, trials * pp * (1.0 - pp));
+  }
+  gate.check("total mean", sum, trials * mean, trials * var);
+  gate.check("total variance", sq, trials * var,
+             trials * (kappa4 + 2.0 * var * var));
   const sg::Verdict v = gate.verdict();
   EXPECT_TRUE(v.pass) << v.failures;
 }
