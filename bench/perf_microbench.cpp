@@ -76,10 +76,9 @@ void BM_Theorem1BatchEvaluate(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto net = make_network(n, 4);
   const auto q = units::probabilities(std::vector<double>(n, 0.5));
-  core::SuccessProbabilityKernel kernel(net, units::Threshold(2.5));
   std::vector<double> out(n);
   for (auto _ : state) {
-    kernel.evaluate(q, out);
+    core::rayleigh_success_probabilities(net, q, units::Threshold(2.5), out);
     benchmark::DoNotOptimize(out.data());
   }
   state.SetComplexityN(static_cast<std::int64_t>(n));

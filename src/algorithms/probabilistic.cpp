@@ -4,6 +4,7 @@
 #include <cmath>
 
 #include "core/success_probability.hpp"
+#include "core/success_probability_batch.hpp"
 #include "model/network.hpp"
 #include "model/rayleigh.hpp"
 #include "util/contracts.hpp"
@@ -18,42 +19,6 @@ using model::Network;
 
 namespace {
 
-/// c(k,i) = beta S(k,i) / (beta S(k,i) + S(i,i)): the attenuation factor of
-/// sender k in receiver i's Theorem-1 product.
-double attenuation(const Network& net, LinkId k, LinkId i, double beta) {
-  const double ski = net.mean_gain(k, i);
-  return beta * ski / (beta * ski + net.signal(i));
-}
-
-/// Q_i(q) with the q_i factor stripped: E_i prod_{j != i} (1 - c(j,i) q_j).
-double success_core(const Network& net, const std::vector<double>& q, LinkId i,
-                    double beta) {
-  RAYSCHED_EXPECT(net.signal(i) > 0.0,
-                  "success_core: signal S(i,i) must be positive");
-  double p = std::exp(-beta * net.noise() / net.signal(i));
-  for (LinkId j = 0; j < net.size(); ++j) {
-    if (j == i || util::fp::exact_zero(q[j])) continue;
-    p *= 1.0 - attenuation(net, j, i, beta) * q[j];
-  }
-  return p;
-}
-
-/// Log-space companion of success_core: ln E_i + sum log1p(-c(j,i) q_j),
-/// finite where the linear product underflows (n beyond ~40k active
-/// interferers). Used by the gradient to keep cross terms representable
-/// after cores[i] hits exact zero.
-double success_core_log(const Network& net, const std::vector<double>& q,
-                        LinkId i, double beta) {
-  RAYSCHED_EXPECT(net.signal(i) > 0.0,
-                  "success_core_log: signal S(i,i) must be positive");
-  double lp = -beta * net.noise() / net.signal(i);
-  for (LinkId j = 0; j < net.size(); ++j) {
-    if (j == i || util::fp::exact_zero(q[j])) continue;
-    lp += std::log1p(-attenuation(net, j, i, beta) * q[j]);
-  }
-  return lp;
-}
-
 /// Boundary adapter: the optimizer works on raw double vectors (they are
 /// mutated in tight clamp/flip loops); core's typed API is entered here.
 double expected_successes(const Network& net, const std::vector<double>& q,
@@ -67,12 +32,23 @@ double expected_successes(const Network& net, const std::vector<double>& q,
 std::vector<double> expected_capacity_gradient(const Network& net,
                                                const std::vector<double>& q,
                                                double beta) {
-  core::validate_probabilities(net, units::probabilities(q));
   require(beta > 0.0, "expected_capacity_gradient: beta must be positive");
+  const units::ProbabilityVector probs = units::probabilities(q);
+  const units::Threshold threshold(beta);
   const std::size_t n = net.size();
-  // Precompute cores once: O(n^2).
-  std::vector<double> cores(n);
-  for (LinkId i = 0; i < n; ++i) cores[i] = success_core(net, q, i, beta);
+  // core_i = Q_i / q_i, which has no q_i in it: O(n^2), validates q.
+  std::vector<double> cores;
+  core::rayleigh_conditional_success_probabilities(net, probs, threshold,
+                                                   cores);
+  // ln core_i, only where the linear core underflowed to zero: the cross
+  // terms are reconstituted in log space there.
+  std::vector<double> log_cores(n, 0.0);
+  for (LinkId i = 0; i < n; ++i) {
+    if (!util::fp::exact_zero(q[i]) && util::fp::exact_zero(cores[i])) {
+      log_cores[i] = core::detail::rayleigh_success_log_probability_unchecked(
+          net, probs, i, threshold, /*conditional=*/true);
+    }
+  }
 
   std::vector<double> grad(n, 0.0);
   for (LinkId k = 0; k < n; ++k) {
@@ -82,9 +58,11 @@ std::vector<double> expected_capacity_gradient(const Network& net,
     // its derivative removes that factor and multiplies by -c(k,i).
     for (LinkId i = 0; i < n; ++i) {
       if (i == k || util::fp::exact_zero(q[i])) continue;
-      const double c = attenuation(net, k, i, beta);
-      const double factor = 1.0 - c * q[k];
-      // factor is >= 1 - c > 0 since c < 1 and q_k <= 1.
+      const auto [c, factor] =
+          core::detail::theorem1_term(net, k, i, threshold, q[k]);
+      // factor >= 1 - c > 0 since c < 1 and q_k <= 1; where beta*S(k,i)
+      // overflows, the factor is the division-safe form, still > 0 unless
+      // S(k,i) beta / S(i,i) overflows too and q_k = 1.
       RAYSCHED_EXPECT(factor > 0.0,
                       "gradient factor 1 - c(k,i) q_k must stay positive");
       if (util::fp::exact_zero(cores[i])) {
@@ -94,7 +72,7 @@ std::vector<double> expected_capacity_gradient(const Network& net,
         // The min(0, ·) clamp absorbs the few-ulp overshoot the summed
         // log1p terms can accumulate; the true value is a log probability.
         const double log_term = std::min(
-            0.0, success_core_log(net, q, i, beta) - std::log1p(-c * q[k]));
+            0.0, log_cores[i] - std::log(factor));
         g -= q[i] * std::exp(log_term) * c;
       } else {
         g -= q[i] * cores[i] / factor * c;

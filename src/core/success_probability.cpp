@@ -15,22 +15,6 @@ namespace raysched::core {
 using model::LinkId;
 using model::Network;
 
-namespace {
-
-/// Receiver i's Theorem-1 factor 1 - c(j,i) q_j where beta*S(j,i) overflows
-/// and c = beta*S(j,i) / (beta*S(j,i) + S(i,i)) would be inf/inf: with
-/// a = S(j,i) (beta / S(i,i)) it is (1 + a (1 - q_j)) / (1 + a), and its
-/// limit 1 - q_j where a overflows too. Ordinary gains never come here.
-double overflow_factor(const Network& net, LinkId j, LinkId i, double b,
-                       double qj) {
-  RAYSCHED_EXPECT(net.signal(i) > 0.0,
-                  "Theorem 1 needs a positive signal S(i,i)");
-  const double a = net.mean_gain(j, i) * (b / net.signal(i));
-  return std::isinf(a) ? 1.0 - qj : (1.0 + a * (1.0 - qj)) / (1.0 + a);
-}
-
-}  // namespace
-
 void validate_probabilities(const Network& net,
                             const units::ProbabilityVector& q) {
   require(q.size() == net.size(),
@@ -41,20 +25,39 @@ void validate_probabilities(const Network& net,
   }
 }
 
-double detail::rayleigh_success_probability_unchecked(
-    const Network& net, const units::ProbabilityVector& q, LinkId i,
-    units::Threshold beta) {
+detail::Theorem1Term detail::theorem1_term(const Network& net, LinkId j,
+                                            LinkId i, units::Threshold beta,
+                                            double qj) {
   const double b = beta.value();
   const double sii = net.signal(i);
   RAYSCHED_EXPECT(sii > 0.0, "Theorem 1 needs a positive signal S(i,i)");
-  double p = q[i].value() * std::exp(-b * net.noise() / sii);
+  const double bs = b * net.mean_gain(j, i);
+  if (!std::isinf(bs)) {
+    const double c = bs / (bs + sii);
+    return {c, 1.0 - c * qj};
+  }
+  // Ordinary gains never come here.
+  const double a = net.mean_gain(j, i) * (b / sii);
+  if (std::isinf(a)) return {1.0, 1.0 - qj};
+  return {a / (1.0 + a), (1.0 + a * (1.0 - qj)) / (1.0 + a)};
+}
+
+double detail::rayleigh_success_probability_unchecked(
+    const Network& net, const units::ProbabilityVector& q, LinkId i,
+    units::Threshold beta, bool conditional) {
+  const double b = beta.value();
+  const double sii = net.signal(i);
+  RAYSCHED_EXPECT(sii > 0.0, "Theorem 1 needs a positive signal S(i,i)");
+  const double qi = conditional ? 1.0 : q[i].value();
+  double p = qi * std::exp(-b * net.noise() / sii);
   for (LinkId j = 0; j < net.size(); ++j) {
     if (j == i || util::fp::exact_zero(q[j].value())) continue;
     // beta / (beta + S(i,i)/S(j,i)) rewritten division-safely as
     // beta*S(j,i) / (beta*S(j,i) + S(i,i)); correct also when S(j,i) == 0.
     const double bs = b * net.mean_gain(j, i);
-    p *= std::isinf(bs) ? overflow_factor(net, j, i, b, q[j].value())
-                        : 1.0 - bs * q[j].value() / (bs + sii);
+    p *= std::isinf(bs)
+             ? theorem1_term(net, j, i, beta, q[j].value()).factor
+             : 1.0 - bs * q[j].value() / (bs + sii);
   }
   RAYSCHED_ENSURE(std::isfinite(p) && p >= 0.0 && p <= 1.0,
                   "Theorem-1 product form left [0,1]");
@@ -63,25 +66,25 @@ double detail::rayleigh_success_probability_unchecked(
 
 double detail::rayleigh_success_log_probability_unchecked(
     const Network& net, const units::ProbabilityVector& q, LinkId i,
-    units::Threshold beta) {
+    units::Threshold beta, bool conditional) {
   const double b = beta.value();
   const double sii = net.signal(i);
   RAYSCHED_EXPECT(sii > 0.0, "Theorem 1 needs a positive signal S(i,i)");
-  if (util::fp::exact_zero(q[i].value())) {
+  const double qi = conditional ? 1.0 : q[i].value();
+  if (util::fp::exact_zero(qi)) {
     return -std::numeric_limits<double>::infinity();
   }
-  // Same coefficient expression and j-order as the kernel's evaluate_log
-  // (c(j,i) = b S(j,i) / (b S(j,i) + S(i,i)), j ascending); the kernel's
-  // j == i term adds log1p(-0 * q_i) == +0.0, so skipping it here is
-  // bitwise neutral and the two paths stay bit-identical.
+  // Same c(j,i) = b S(j,i) / (b S(j,i) + S(i,i)) and j-order as the linear
+  // form; FpDeterminism.LogGoldenBits pins the resulting bits.
   const double neg_exponent = -b * net.noise() / sii;
-  double lp = std::log(q[i].value()) + neg_exponent;
+  double lp = std::log(qi) + neg_exponent;
   for (LinkId j = 0; j < net.size(); ++j) {
     if (j == i || util::fp::exact_zero(q[j].value())) continue;
     const double bs = b * net.mean_gain(j, i);
     if (std::isinf(bs)) {
       // 0 only where Q_i is: a overflows and q_j = 1.
-      const double factor = overflow_factor(net, j, i, b, q[j].value());
+      const double factor =
+          theorem1_term(net, j, i, beta, q[j].value()).factor;
       RAYSCHED_EXPECT(factor >= 0.0, "Theorem-1 factor must be >= 0");
       lp += std::log(factor);
       continue;
@@ -186,9 +189,9 @@ double expected_rayleigh_successes(const Network& net,
   // summed in ascending link order. Zero entries (q_i == 0) are bitwise
   // no-ops on a non-negative running sum, so they need no skip branch.
   double total = 0.0;
-  for (double v : batch_rayleigh_success_probabilities(net, q, beta)) {
-    total += v;
-  }
+  std::vector<double> values;
+  rayleigh_success_probabilities(net, q, beta, values);
+  for (double v : values) total += v;
   RAYSCHED_ENSURE(total <= static_cast<double>(net.size()),
                   "expected successes cannot exceed the number of links");
   return total;

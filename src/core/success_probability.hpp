@@ -64,8 +64,8 @@ void validate_probabilities(const model::Network& net,
 /// Expected number of Rayleigh-successful transmissions per slot under q
 /// (sum of Theorem-1 probabilities). Exact. An expectation over links, not a
 /// probability, so it returns double. Validates q once and sums
-/// batch_rayleigh_success_probabilities (core/success_probability_batch.hpp)
-/// in ascending link order, so each term is rayleigh_success_probability bit
+/// rayleigh_success_probabilities (core/success_probability_batch.hpp) in
+/// ascending link order, so each term is rayleigh_success_probability bit
 /// for bit.
 [[nodiscard]] double expected_rayleigh_successes(
     const model::Network& net, const units::ProbabilityVector& q,
@@ -73,9 +73,9 @@ void validate_probabilities(const model::Network& net,
 
 /// Theorem 1 in log space: ln Q_i, finite wherever q_i > 0 even when the
 /// linear product underflows to a denormal or to zero (n beyond ~40k links
-/// at typical coefficients), and exactly -inf when q_i == 0. Same term
-/// ordering as SuccessProbabilityKernel::evaluate_log, so the scalar and
-/// batched log paths are bit-identical. Not a units::Probability — the
+/// at typical coefficients), and exactly -inf when q_i == 0. Bit-identical
+/// per element to rayleigh_success_log_probabilities
+/// (core/success_probability_batch.hpp). Not a units::Probability — the
 /// value lives in (-inf, 0].
 [[nodiscard]] double rayleigh_success_log_probability(
     const model::Network& net, const units::ProbabilityVector& q,
@@ -83,20 +83,35 @@ void validate_probabilities(const model::Network& net,
 
 namespace detail {
 
+/// Sender j's term in receiver i's Theorem-1 product: the attenuation
+/// c(j,i) = beta S(j,i) / (beta S(j,i) + S(i,i)) and the factor
+/// 1 - c(j,i) q_j. Where beta S(j,i) overflows, c is inf/inf as written;
+/// with a = S(j,i) (beta / S(i,i)) the term is c = a / (1 + a) and
+/// factor = (1 + a (1 - q_j)) / (1 + a), which stays accurate where c
+/// rounds to 1, and where a overflows too, c = 1 and factor = 1 - q_j.
+struct Theorem1Term {
+  double attenuation;
+  double factor;
+};
+[[nodiscard]] Theorem1Term theorem1_term(const model::Network& net,
+                                         model::LinkId j, model::LinkId i,
+                                         units::Threshold beta, double qj);
+
 /// Theorem-1 per-link evaluation with validation stripped: callers (the
-/// aggregate entry points and the batch unit) validate q / i / beta once and
-/// then loop over this. Same expression and iteration order as the public
-/// function, so results are bit-identical.
+/// public per-link function and the all-links forms) validate q / i / beta
+/// once and then loop over this. With `conditional` it reads q_i as 1: the
+/// success probability of link i given that it transmits, bit for bit the
+/// value at q with q[i] = 1.
 [[nodiscard]] double rayleigh_success_probability_unchecked(
     const model::Network& net, const units::ProbabilityVector& q,
-    model::LinkId i, units::Threshold beta);
+    model::LinkId i, units::Threshold beta, bool conditional = false);
 
 /// Log-space Theorem-1 per-link evaluation with validation stripped: the
 /// log1p companion of rayleigh_success_probability_unchecked (the RS-N4
-/// underflow escape hatch), bit-identical to the kernel's evaluate_log.
+/// underflow escape hatch), with the same `conditional` flag.
 [[nodiscard]] double rayleigh_success_log_probability_unchecked(
     const model::Network& net, const units::ProbabilityVector& q,
-    model::LinkId i, units::Threshold beta);
+    model::LinkId i, units::Threshold beta, bool conditional = false);
 
 }  // namespace detail
 

@@ -1,7 +1,6 @@
 #include "learning/fictitious_play.hpp"
 
 #include <algorithm>
-#include <optional>
 
 #include "core/success_probability.hpp"
 #include "core/success_probability_batch.hpp"
@@ -20,8 +19,8 @@ namespace {
 
 /// Expected reward of link i sending, against others playing independently
 /// with their empirical frequencies `freq` (freq[i] is ignored). Non-fading
-/// only: the Rayleigh model evaluates all links at once through the batched
-/// Theorem-1 kernel in the round loop below.
+/// only: the Rayleigh model evaluates all links at once through core's
+/// all-links Theorem-1 form in the round loop below.
 double send_reward_vs_frequencies(const Network& net,
                                   const units::ProbabilityVector& freq,
                                   LinkId i,
@@ -64,14 +63,6 @@ FictitiousPlayResult run_fictitious_play(const Network& net,
   result.successes_per_round.reserve(options.rounds);
   result.final_profile.assign(n, false);
 
-  // Rayleigh rewards come from the batched Theorem-1 kernel: the affectance
-  // matrix depends only on (network, beta), so it is precomputed once and
-  // each round is a single division-free O(n^2) pass instead of n scalar
-  // calls (each with its own O(n) validation sweep).
-  std::optional<core::SuccessProbabilityKernel> kernel;
-  if (options.model == GameModel::Rayleigh) {
-    kernel.emplace(net, units::Threshold(options.beta));
-  }
   std::vector<double> conditional;
 
   std::vector<bool> profile(n, false), previous(n, false);
@@ -86,11 +77,11 @@ FictitiousPlayResult run_fictitious_play(const Network& net,
         freq[i] = units::Probability(static_cast<double>(send_count[i]) /
                                      static_cast<double>(t));
       }
-      if (kernel) {
-        // Reward of sending is 2 * P[success | i sends] - 1; the conditional
-        // batch strips the q_i prefactor, which is exactly the scalar path's
-        // q with q[i] = 1.
-        kernel->evaluate_conditional(freq, conditional);
+      if (options.model == GameModel::Rayleigh) {
+        // Reward of sending is 2 * P[success | i sends] - 1: Theorem 1 at
+        // freq with freq[i] read as 1, for every link in one O(n^2) pass.
+        core::rayleigh_conditional_success_probabilities(
+            net, freq, units::Threshold(options.beta), conditional);
         for (LinkId i = 0; i < n; ++i) {
           profile[i] = 2.0 * conditional[i] - 1.0 > 0.0;
         }

@@ -5,12 +5,10 @@
 // Theorem-1 evaluation path a pure function of its inputs down to the last
 // bit — on GCC and Clang alike. This suite holds that property to account:
 //
-//  * committed bit-pattern goldens for the scalar, batched and log-space
+//  * committed bit-pattern goldens for the linear and log-space
 //    evaluators over a closed-form network (no RNG, so the inputs
-//    themselves are bit-deterministic);
-//  * the scalar log companion is bit-identical to the kernel's
-//    evaluate_log (same expressions, same iteration order — the contract
-//    documented in core/success_probability.hpp);
+//    themselves are bit-deterministic); the all-links forms match the
+//    per-link ones bit for bit (SuccessBatch.AllLinksFormsMatchPerLink*);
 //  * the underflow boundary: above it exp(log) agrees with the linear
 //    product at ulp scale, below it the linear product is exactly 0 while
 //    the log form stays finite (the RS-N4 escape hatch).
@@ -67,12 +65,8 @@ units::ProbabilityVector golden_q() {
 }
 
 // Golden bit patterns, generated once from this harness and committed.
-// All three arrays must reproduce exactly under GCC and Clang.
+// Both arrays must reproduce exactly under GCC and Clang.
 constexpr std::uint64_t kGoldenScalar[kLinks] = {
-    0x0000000000000000, 0x3fc89baa2aa1b9c7, 0x3fd8cd357750cefc,
-    0x3fe2b3f179838ed5, 0x3fe909fc6860f666, 0x0000000000000000,
-    0x3fc912d9369605ad, 0x3fd9253ea9801b33};
-constexpr std::uint64_t kGoldenBatch[kLinks] = {
     0x0000000000000000, 0x3fc89baa2aa1b9c7, 0x3fd8cd357750cefc,
     0x3fe2b3f179838ed5, 0x3fe909fc6860f666, 0x0000000000000000,
     0x3fc912d9369605ad, 0x3fd9253ea9801b33};
@@ -94,42 +88,15 @@ TEST(FpDeterminism, ScalarGoldenBits) {
   }
 }
 
-TEST(FpDeterminism, BatchGoldenBits) {
-  const model::Network net = golden_network();
-  const units::ProbabilityVector q = golden_q();
-  SuccessProbabilityKernel kernel(net, units::Threshold(kBeta));
-  const std::vector<double> batch = kernel.evaluate(q);
-  for (std::size_t i = 0; i < kLinks; ++i) {
-    EXPECT_EQ(bits(batch[i]), kGoldenBatch[i])
-        << "batch golden moved at link " << i << ": 0x" << std::hex
-        << bits(batch[i]);
-  }
-}
-
 TEST(FpDeterminism, LogGoldenBits) {
   const model::Network net = golden_network();
   const units::ProbabilityVector q = golden_q();
-  SuccessProbabilityKernel kernel(net, units::Threshold(kBeta));
-  const std::vector<double> lg = kernel.evaluate_log(q);
+  std::vector<double> lg;
+  rayleigh_success_log_probabilities(net, q, units::Threshold(kBeta), lg);
   for (std::size_t i = 0; i < kLinks; ++i) {
     EXPECT_EQ(bits(lg[i]), kGoldenLog[i])
         << "log golden moved at link " << i << ": 0x" << std::hex
         << bits(lg[i]);
-  }
-}
-
-// The scalar log companion promises bit-identity with the kernel's
-// evaluate_log (core/success_probability.hpp); -inf entries (q_i == 0)
-// compare equal by bit pattern too.
-TEST(FpDeterminism, ScalarLogMatchesKernelLogBitwise) {
-  const model::Network net = golden_network();
-  const units::ProbabilityVector q = golden_q();
-  SuccessProbabilityKernel kernel(net, units::Threshold(kBeta));
-  const std::vector<double> klog = kernel.evaluate_log(q);
-  for (LinkId i = 0; i < net.size(); ++i) {
-    const double slog =
-        rayleigh_success_log_probability(net, q, i, units::Threshold(kBeta));
-    EXPECT_EQ(bits(slog), bits(klog[i])) << "log paths split at link " << i;
   }
 }
 
@@ -147,9 +114,9 @@ model::Network underflow_network(std::size_t n) {
 TEST(FpDeterminism, LinearAndLogAgreeAboveUnderflow) {
   const model::Network net = golden_network();
   const units::ProbabilityVector q = golden_q();
-  SuccessProbabilityKernel kernel(net, units::Threshold(kBeta));
-  const std::vector<double> linear = kernel.evaluate(q);
-  const std::vector<double> lg = kernel.evaluate_log(q);
+  std::vector<double> linear, lg;
+  rayleigh_success_probabilities(net, q, units::Threshold(kBeta), linear);
+  rayleigh_success_log_probabilities(net, q, units::Threshold(kBeta), lg);
   for (std::size_t i = 0; i < kLinks; ++i) {
     if (linear[i] == 0.0) {
       EXPECT_EQ(lg[i], -std::numeric_limits<double>::infinity())
@@ -168,18 +135,20 @@ TEST(FpDeterminism, LogStaysFiniteBelowUnderflow) {
       units::uniform_probabilities(n, units::Probability(1.0));
   const units::Threshold beta(1.0);
 
-  SuccessProbabilityKernel kernel(net, beta);
-  const std::vector<double> linear = kernel.evaluate(q);
-  const std::vector<double> lg = kernel.evaluate_log(q);
+  std::vector<double> linear, lg;
+  rayleigh_success_probabilities(net, q, beta, linear);
+  rayleigh_success_log_probabilities(net, q, beta, lg);
   for (LinkId i = 0; i < n; ++i) {
     // The linear product underflows to exact zero...
     EXPECT_EQ(linear[i], 0.0) << "expected underflow at link " << i;
     EXPECT_EQ(
         bits(rayleigh_success_probability(net, q, i, beta).value()),
         bits(linear[i]))
-        << "scalar and batch disagree in the underflow regime, link " << i;
+        << "per-link and all-links forms disagree in the underflow regime, "
+           "link "
+        << i;
     // ...while the log form stays finite, deep below log(DBL_MIN), and
-    // bit-identical between the scalar companion and the kernel.
+    // bit-identical between the per-link and the all-links forms.
     EXPECT_TRUE(std::isfinite(lg[i])) << "log underflowed at link " << i;
     EXPECT_LT(lg[i], -710.0);
     EXPECT_EQ(bits(rayleigh_success_log_probability(net, q, i, beta)),

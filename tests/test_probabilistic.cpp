@@ -67,6 +67,32 @@ TEST(Gradient, ZeroProbabilityCoordinateHasOwnTermOnly) {
   EXPECT_NEAR(grad[0], core0 - 1.0 * c01, 1e-12);
 }
 
+TEST(Gradient, FiniteWhereBetaTimesGainOverflows) {
+  // beta*S(j,i) overflows (gains 1e200/1e199, beta = 2^450) while every Q_i
+  // stays representable (3.4e-135 at q = (1,1)); c(k,i) = beta S(k,i) /
+  // (beta S(k,i) + S(i,i)) as written is inf/inf there.
+  const model::Network net(2, {1e200, 1e199, 1e199, 1e200},
+                           units::Power(0.0));
+  const double beta = std::ldexp(1.0, 450);
+  const std::vector<double> q = {1.0, 1.0};
+  const auto grad = expected_capacity_gradient(net, q, beta);
+  const auto expected = [&](const std::vector<double>& at) {
+    return core::expected_rayleigh_successes(net, units::probabilities(at),
+                                             units::Threshold(beta));
+  };
+  const double h = 1e-6;
+  for (LinkId k = 0; k < 2; ++k) {
+    ASSERT_TRUE(std::isfinite(grad[k])) << "coordinate " << k;
+    // E is affine in q_k, so the central difference about 1 - h, which
+    // stays inside the box, is its slope at q_k = 1.
+    std::vector<double> dn = q;
+    dn[k] = 1.0 - 2.0 * h;
+    const double fd = (expected(q) - expected(dn)) / (2.0 * h);
+    EXPECT_NEAR(grad[k], fd, 1e-6) << "coordinate " << k;
+    EXPECT_NEAR(grad[k], -1.0, 1e-6) << "coordinate " << k;
+  }
+}
+
 TEST(GradientAscent, ImprovesObjectiveAndStaysInBox) {
   auto net = paper_network(20, 4);
   const double beta = 2.5;

@@ -62,8 +62,6 @@ HEAVY_PARAM_RES = [
                r"\s*(?P<after>[,)=])"),
     re.compile(r"std::vector\s*<[^<>;]*>\s+(?P<name>\w+)"
                r"\s*(?P<after>[,)=])"),
-    re.compile(r"\bSuccessProbabilityKernel\s+(?P<name>\w+)"
-               r"\s*(?P<after>[,)=])"),
 ]
 
 

@@ -330,7 +330,7 @@ def check_linear_products(path, code, emit):
              f"loop-carried product '{m.group('name')} *=' over a "
              "link-indexed loop with no std::log1p fallback in this TU — "
              "the Theorem-1 underflow shape; add a log-space companion "
-             "(see SuccessProbabilityKernel::evaluate_log)")
+             "(see rayleigh_success_log_probabilities)")
 
 
 # --- RS-N5 -----------------------------------------------------------------
