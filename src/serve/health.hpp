@@ -95,6 +95,7 @@ class HealthMonitor {
   void end_slot(std::uint64_t slot, std::uint64_t total_backlog,
                 bool schedule_stale);
 
+  /// Every state change since construction or the last restore().
   [[nodiscard]] const std::vector<HealthTransition>& transitions() const {
     return transitions_;
   }

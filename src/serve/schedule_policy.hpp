@@ -64,12 +64,13 @@ enum class PolicyKind : std::uint8_t {
 /// unknown name.
 [[nodiscard]] PolicyKind policy_kind_from_string(const std::string& name);
 
-/// One recompute request. The serving loop owns the accounting that feeds
-/// it; the policy only ever sees this value snapshot, which is also what a
-/// mid-flight snapshot persists so a restore can resubmit it verbatim.
+/// One recompute request. The serving loop owns it and the accounting that
+/// feeds it; the agent and the policy borrow it read-only while it is in
+/// flight, and a mid-flight snapshot persists it so a restore can resubmit
+/// it verbatim.
 struct ScheduleRequest {
   /// The submitting slot; the AHM policy derives its sampling stream from
-  /// it. Filled in by ScheduleAgent::submit.
+  /// it, and the agent times adoption from it.
   std::uint64_t slot = 0;
   /// Per-link weights: queue lengths, 0 for links that must not be
   /// scheduled (inactive, shed, or worthless).

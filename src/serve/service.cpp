@@ -195,22 +195,17 @@ std::uint64_t Service::apply_arrivals(std::uint64_t slot) {
 
 void Service::submit_recompute(std::uint64_t slot) {
   const std::size_t n = net_.size();
-  ScheduleRequest request;
-  std::vector<double>& weights = request.weights;
+  // Refilled in place: the vectors keep their capacity across submits.
+  request_.slot = slot;
+  std::vector<double>& weights = request_.weights;
   weights.assign(n, 0.0);
-  std::size_t active_count = 0, departed = 0, attempted = 0;
+  std::size_t active_count = 0;
   for (std::size_t i = 0; i < n; ++i) {
     if (active_[i] != 0) {
       ++active_count;
       weights[i] = static_cast<double>(queue_[i]);
     }
-    departed += departed_flags_[i] != 0 ? 1 : 0;
-    attempted += feedback_attempt_[i] != 0 ? 1 : 0;
   }
-  // The payload lists below take one allocation each, not a growth chain.
-  request.departed.reserve(departed);
-  request.feedback_schedule.reserve(attempted);
-  request.feedback_success.reserve(attempted);
   if (monitor_.state() == HealthState::Overloaded && active_count > 0) {
     // Shed load by shrinking the scheduled set: only the heaviest fraction
     // of active queues keeps a nonzero weight (ties broken by link id so
@@ -244,22 +239,24 @@ void Service::submit_recompute(std::uint64_t slot) {
   // Churn payload: links gone inactive since the previous submit. The
   // flags reset here to start tracking the new window — while this request
   // is in flight they double as the adoption-time pruning set.
+  request_.departed.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    if (departed_flags_[i] != 0) request.departed.push_back(i);
+    if (departed_flags_[i] != 0) request_.departed.push_back(i);
   }
   std::fill(departed_flags_.begin(), departed_flags_.end(), 0);
   // AHM feedback payload: (id, succeeded) for every link that attempted
   // service since the previous submit.
+  request_.feedback_schedule.clear();
+  request_.feedback_success.clear();
   for (std::size_t i = 0; i < n; ++i) {
     if (feedback_attempt_[i] != 0) {
-      request.feedback_schedule.push_back(i);
-      request.feedback_success.push_back(feedback_success_[i]);
+      request_.feedback_schedule.push_back(i);
+      request_.feedback_success.push_back(feedback_success_[i]);
     }
   }
   std::fill(feedback_attempt_.begin(), feedback_attempt_.end(), 0);
   std::fill(feedback_success_.begin(), feedback_success_.end(), 0);
 
-  inflight_clean_weights_ = weights;
   inflight_poisoned_ = poison_active_;
   inflight_timed_out_ = false;
   // Captured *before* submit: the exact policy state a kill/restore must
@@ -268,13 +265,22 @@ void Service::submit_recompute(std::uint64_t slot) {
   const std::uint64_t latency =
       util::sat_add(config_.recompute_latency, pending_extra_latency_);
   pending_extra_latency_ = 0;
-  if (inflight_poisoned_) {
-    // The scripted poisoned-gain fault: the recompute's weight inputs are
-    // corrupted wholesale; the agent's validation boundary must catch it.
-    std::fill(weights.begin(), weights.end(),
-              std::numeric_limits<double>::quiet_NaN());
+  submit_request(latency);
+}
+
+void Service::submit_request(std::uint64_t latency) {
+  if (!inflight_poisoned_) {
+    agent_.submit(request_, latency);
+    return;
   }
-  agent_.submit(slot, std::move(request), latency);
+  // The scripted poisoned-gain fault: the recompute's weight inputs are
+  // corrupted wholesale; the agent's validation boundary must catch it.
+  // It rejects the request before any policy reads the payload lists, so
+  // the stand-in carries only the slot and the weights.
+  poison_scratch_.slot = request_.slot;
+  poison_scratch_.weights.assign(request_.weights.size(),
+                                 std::numeric_limits<double>::quiet_NaN());
+  agent_.submit(poison_scratch_, latency);
 }
 
 void Service::manage_recompute(std::uint64_t slot) {
@@ -316,7 +322,6 @@ void Service::manage_recompute(std::uint64_t slot) {
       }
       inflight_timed_out_ = false;
       inflight_poisoned_ = false;
-      inflight_clean_weights_.clear();
       inflight_policy_state_.clear();
     } else if (!inflight_timed_out_ &&
                slot >= util::sat_add(agent_.submit_slot(),
@@ -511,7 +516,6 @@ ServeReport Service::run(std::uint64_t slots) {
   report.schedule_epoch = schedule_epoch_;
   report.expected_rate = expected_rate_;
   report.health = monitor_.state();
-  report.transitions = monitor_.transitions();
   report.trajectory_hash = hash_;
   report.conservation_ok =
       !conservation_violated_ && conservation_holds(backlog);
@@ -549,19 +553,17 @@ ServeSnapshot Service::snapshot() const {
   snap.feedback_attempt = feedback_attempt_;
   snap.feedback_success = feedback_success_;
   if (agent_.in_flight()) {
+    // request_ is safe to read mid-flight: the worker task only reads it
+    // too. Its weights are the clean ones even inside the poison window.
     snap.recompute.in_flight = true;
-    snap.recompute.submit_slot = agent_.submit_slot();
+    snap.recompute.submit_slot = request_.slot;
     snap.recompute.latency_slots = agent_.latency_slots();
     snap.recompute.timed_out = inflight_timed_out_;
     snap.recompute.poisoned = inflight_poisoned_;
-    // Always the *clean* copy: the agent's own input may hold NaNs.
-    snap.recompute.weights = inflight_clean_weights_;
-    // The loop-owned request copy is safe to read mid-flight; the worker
-    // task computes on its own copy.
-    const ScheduleRequest& pending = agent_.pending_request();
-    snap.recompute.departed = pending.departed;
-    snap.recompute.feedback_schedule = pending.feedback_schedule;
-    snap.recompute.feedback_success = pending.feedback_success;
+    snap.recompute.weights = request_.weights;
+    snap.recompute.departed = request_.departed;
+    snap.recompute.feedback_schedule = request_.feedback_schedule;
+    snap.recompute.feedback_success = request_.feedback_success;
     // Pre-submit capture: restore replays the resubmission onto it.
     snap.policy_state = inflight_policy_state_;
   } else {
@@ -670,21 +672,15 @@ void Service::restore(const ServeSnapshot& snap) {
     // Resubmit the interrupted recompute with its original submit slot and
     // latency, so the adoption slot — and thus the trajectory — is
     // preserved. A poisoned request is re-corrupted before submission.
-    inflight_clean_weights_ = snap.recompute.weights;
     inflight_policy_state_ = snap.policy_state;
     inflight_timed_out_ = snap.recompute.timed_out;
     inflight_poisoned_ = snap.recompute.poisoned;
-    ScheduleRequest request;
-    request.weights = snap.recompute.weights;
-    request.departed = snap.recompute.departed;
-    request.feedback_schedule = snap.recompute.feedback_schedule;
-    request.feedback_success = snap.recompute.feedback_success;
-    if (inflight_poisoned_) {
-      std::fill(request.weights.begin(), request.weights.end(),
-                std::numeric_limits<double>::quiet_NaN());
-    }
-    agent_.submit(snap.recompute.submit_slot, std::move(request),
-                  snap.recompute.latency_slots);
+    request_.slot = snap.recompute.submit_slot;
+    request_.weights = snap.recompute.weights;
+    request_.departed = snap.recompute.departed;
+    request_.feedback_schedule = snap.recompute.feedback_schedule;
+    request_.feedback_success = snap.recompute.feedback_success;
+    submit_request(snap.recompute.latency_slots);
   }
 }
 

@@ -10,9 +10,8 @@
 // work during its assertions.
 //
 // Measurement technique for the slot loop: Service::run(slots) has a small
-// constant per-run allocation overhead (one digests.reserve, the report
-// handoff) plus `slots` iterations of the slot loop. Comparing the
-// allocation deltas of run(256) and run(512) cancels the constant: equal
+// constant per-run allocation overhead (one digests.reserve) plus `slots`
+// iterations of the slot loop. Comparing the allocation deltas of run(256) and run(512) cancels the constant: equal
 // deltas prove the per-slot cost is exactly zero.
 #include <gtest/gtest.h>
 
@@ -107,7 +106,7 @@ void expect_zero_alloc_slots(const serve::ServeConfig& config) {
   EXPECT_EQ(delta_short, delta_long)
       << "slot loop allocates per slot: " << delta_short << " allocs over "
       << "256 slots vs " << delta_long << " over 512";
-  // And the per-run constant itself stays tiny (reserve + report handoff).
+  // And the per-run constant itself stays tiny (the digests reserve).
   EXPECT_LE(delta_short, 8u);
 }
 
@@ -163,54 +162,72 @@ TEST(HotPathAllocs, SteadyStateSlotLoopMorePacketsThanLinks) {
   EXPECT_EQ(events.capacity(), n);
 }
 
-// Recompute every slot, inline agent: an upper bound on the allocations
-// of run(256) after a 64-slot warm-up, for each policy and propagation.
-// The bound is the count measured when the pin was set, so one more
-// allocation per recompute fails it. The counts follow the trajectory, so
-// a change to the traffic draws moves them too. The known sources (none is
-// free yet):
-//   * the ScheduleRequest built per submit (its payload lists reserved to
-//     size, one allocation each), taken by value and copied into the
-//     agent's task;
-//   * the pool's std::function task;
-//   * RecomputeOutcome::schedule and its `what` string;
-//   * per-call vectors in the AHM policy;
-//   * adoption and pruning of the new schedule.
+// Recompute every slot: an upper bound on the allocations of run(256)
+// after a 64-slot warm-up, for each policy and propagation, with the agent
+// inline unless a test says otherwise. The bound is the count measured
+// when the pin was set, so one more allocation per recompute fails it. The
+// counts follow the trajectory, so a change to the traffic draws moves
+// them too. The sources left:
+//   * the policy's result schedule, grown from empty by push_back in every
+//     recompute and then adopted by move;
+//   * the AHM policy's pre-submit state capture, a fresh n-wide copy of
+//     its probability vector per submit;
+//   * with a worker thread, the nodes of the pool's task queue;
+//   * the one digests.reserve of the run() call.
 // Lower a pin when a source goes away; never raise one.
 std::uint64_t recompute_run_allocs(serve::PolicyKind policy,
-                                   core::Propagation propagation) {
+                                   core::Propagation propagation,
+                                   std::size_t agent_threads = 1) {
   serve::ServeConfig config = steady_config(propagation);
   config.policy = policy;
   config.recompute_period = 1;
-  serve::Service service(paper_network(64, 77), config);
-  (void)service.run(64);
-  const std::uint64_t base = alloc_count();
-  (void)service.run(256);
-  return alloc_count() - base;
+  config.agent_threads = agent_threads;
+  // A recompute is always in flight, so with a worker thread a count read
+  // between slots would race it. Count whole service lifetimes instead:
+  // destruction joins the agent's pool, so every submitted recompute is
+  // counted in full, and the difference of the two lifetimes is run(256).
+  const auto lifetime_allocs = [&config](std::uint64_t slots) {
+    const std::uint64_t base = alloc_count();
+    {
+      serve::Service service(paper_network(64, 77), config);
+      (void)service.run(64);
+      (void)service.run(slots);
+    }
+    return alloc_count() - base;
+  };
+  const std::uint64_t warm_up_only = lifetime_allocs(0);
+  return lifetime_allocs(256) - warm_up_only;
 }
 
 TEST(HotPathAllocs, RecomputeSlotsMaxWeightNonFading) {
   EXPECT_LE(recompute_run_allocs(serve::PolicyKind::MaxWeight,
                                  core::Propagation::NonFading),
-            1661u);
+            767u);
 }
 
 TEST(HotPathAllocs, RecomputeSlotsMaxWeightRayleigh) {
   EXPECT_LE(recompute_run_allocs(serve::PolicyKind::MaxWeight,
                                  core::Propagation::Rayleigh),
-            1599u);
+            705u);
 }
 
 TEST(HotPathAllocs, RecomputeSlotsAhmNonFading) {
   EXPECT_LE(recompute_run_allocs(serve::PolicyKind::Ahm,
                                  core::Propagation::NonFading),
-            1808u);
+            912u);
 }
 
 TEST(HotPathAllocs, RecomputeSlotsAhmRayleigh) {
   EXPECT_LE(recompute_run_allocs(serve::PolicyKind::Ahm,
                                  core::Propagation::Rayleigh),
-            1837u);
+            941u);
+}
+
+// The deployed AHM configuration: the recompute runs on a worker thread.
+TEST(HotPathAllocs, RecomputeSlotsAhmRayleighTwoThreads) {
+  EXPECT_LE(recompute_run_allocs(serve::PolicyKind::Ahm,
+                                 core::Propagation::Rayleigh, 2),
+            949u);
 }
 
 // The work of a max-weight recompute: the greedy oracle over

@@ -445,8 +445,10 @@ TEST(Saturate, AgentDueSlotSaturatesInsteadOfWrapping) {
   ScheduleAgent agent(net, units::Threshold(2.5), 1);
   // A delay pile-up can push latency to the top of the range; the due slot
   // must pin at "never", not wrap into the past.
-  agent.submit(10, std::vector<double>(net.size(), 1.0),
-               std::numeric_limits<std::uint64_t>::max());
+  ScheduleRequest request;
+  request.slot = 10;
+  request.weights.assign(net.size(), 1.0);
+  agent.submit(request, std::numeric_limits<std::uint64_t>::max());
   EXPECT_EQ(agent.due_slot(), std::numeric_limits<std::uint64_t>::max());
   (void)agent.reap();
 }

@@ -10,6 +10,7 @@
 #include <fstream>
 #include <limits>
 #include <sstream>
+#include <utility>
 
 #include "test_helpers.hpp"
 
@@ -284,12 +285,33 @@ TEST(ServeFaultScript, RejectsMalformedSpecs) {
 
 // ---- schedule agent -------------------------------------------------------
 
+// submit() borrows its request until reap(), so a temporary must not bind.
+template <typename Request>
+concept SubmitAccepts =
+    requires(ScheduleAgent& agent, Request&& request) {
+      agent.submit(std::forward<Request>(request), std::uint64_t{1});
+    };
+static_assert(SubmitAccepts<ScheduleRequest&>);
+static_assert(SubmitAccepts<const ScheduleRequest&>);
+static_assert(!SubmitAccepts<ScheduleRequest>);
+static_assert(!SubmitAccepts<ScheduleRequest&&>);
+
+/// A request carrying only `weights`, submitted at `slot`.
+ScheduleRequest weights_request(std::uint64_t slot,
+                                std::vector<double> weights) {
+  ScheduleRequest request;
+  request.slot = slot;
+  request.weights = std::move(weights);
+  return request;
+}
+
 TEST(ServeAgent, ComputesAMaxWeightSchedule) {
   auto net = paper_network(12, 21);
   ScheduleAgent agent(net, units::Threshold(2.5), 1);
   std::vector<double> weights(net.size(), 1.0);
   weights[3] = 100.0;
-  agent.submit(0, weights, 1);
+  const ScheduleRequest request = weights_request(0, weights);
+  agent.submit(request, 1);
   RecomputeOutcome outcome = agent.reap();
   ASSERT_TRUE(outcome.ok);
   EXPECT_FALSE(outcome.schedule.empty());
@@ -302,14 +324,17 @@ TEST(ServeAgent, PoisonedWeightsBecomeStructuredFailures) {
   auto net = paper_network(6, 22);
   for (std::size_t threads : {std::size_t{1}, std::size_t{2}}) {
     ScheduleAgent agent(net, units::Threshold(2.5), threads);
-    std::vector<double> weights(net.size(),
-                                std::numeric_limits<double>::quiet_NaN());
-    agent.submit(0, weights, 1);
+    const ScheduleRequest poisoned = weights_request(
+        0, std::vector<double>(net.size(),
+                               std::numeric_limits<double>::quiet_NaN()));
+    agent.submit(poisoned, 1);
     RecomputeOutcome outcome = agent.reap();
     EXPECT_FALSE(outcome.ok);
     EXPECT_EQ(outcome.code, ErrorCode::PoisonedInput);
     // The agent survives a failure: the next submit succeeds.
-    agent.submit(1, std::vector<double>(net.size(), 1.0), 1);
+    const ScheduleRequest clean =
+        weights_request(1, std::vector<double>(net.size(), 1.0));
+    agent.submit(clean, 1);
     EXPECT_TRUE(agent.reap().ok);
   }
 }
@@ -322,8 +347,10 @@ TEST(ServeAgent, InlineAndThreadedAgreeBitIdentically) {
   }
   ScheduleAgent inline_agent(net, units::Threshold(2.5), 1);
   ScheduleAgent pool_agent(net, units::Threshold(2.5), 4);
-  inline_agent.submit(0, weights, 1);
-  pool_agent.submit(0, weights, 1);
+  // Both agents borrow the one request at once.
+  const ScheduleRequest request = weights_request(0, weights);
+  inline_agent.submit(request, 1);
+  pool_agent.submit(request, 1);
   EXPECT_EQ(inline_agent.reap().schedule, pool_agent.reap().schedule);
 }
 
@@ -331,9 +358,13 @@ TEST(ServeAgent, ProtocolViolationsThrow) {
   auto net = paper_network(4, 24);
   ScheduleAgent agent(net, units::Threshold(2.5), 1);
   EXPECT_THROW((void)agent.reap(), raysched::error);  // nothing in flight
-  EXPECT_THROW(agent.submit(0, std::vector<double>(2, 1.0), 1),
+  const ScheduleRequest short_weights =
+      weights_request(0, std::vector<double>(2, 1.0));
+  EXPECT_THROW(agent.submit(short_weights, 1),
                raysched::error);  // wrong size
-  EXPECT_THROW(agent.submit(0, std::vector<double>(4, 1.0), 0),
+  const ScheduleRequest request =
+      weights_request(0, std::vector<double>(4, 1.0));
+  EXPECT_THROW(agent.submit(request, 0),
                raysched::error);  // zero latency
 }
 

@@ -123,7 +123,7 @@ int run_serve(int argc, char** argv) {
   }
 
   if (!flags.get_bool("quiet")) {
-    for (const serve::HealthTransition& t : report.transitions) {
+    for (const serve::HealthTransition& t : service.health().transitions()) {
       std::cout << "slot " << t.slot << ": " << serve::to_string(t.from)
                 << " -> " << serve::to_string(t.to) << " (" << t.reason
                 << ")\n";
