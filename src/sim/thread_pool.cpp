@@ -31,9 +31,9 @@ void ThreadPool::record_exception() {
   if (!first_exception_) first_exception_ = std::current_exception();
   // Fail fast: tasks that have not started yet can never report a result —
   // wait() will rethrow — so drain them instead of executing them pointlessly.
-  in_flight_ -= queue_.size();
-  std::queue<std::function<void()>> drained;
-  queue_.swap(drained);
+  in_flight_ -= queue_.size() - head_;
+  queue_.clear();
+  head_ = 0;
   cv_done_.notify_all();
 }
 
@@ -56,7 +56,7 @@ void ThreadPool::submit(std::function<void()> task) {
   {
     util::MutexLock lock(mutex_);
     if (first_exception_) return;  // draining until wait() rethrows
-    queue_.push(std::move(task));
+    queue_.push_back(std::move(task));
     ++in_flight_;
   }
   cv_task_.notify_one();
@@ -80,8 +80,11 @@ void ThreadPool::worker_loop() {
       util::MutexLock lock(mutex_);
       while (!stop_ && queue_.empty()) cv_task_.wait(mutex_);
       if (queue_.empty()) return;  // only reachable when stopping
-      task = std::move(queue_.front());
-      queue_.pop();
+      task = std::move(queue_[head_++]);
+      if (head_ == queue_.size()) {
+        queue_.clear();
+        head_ = 0;
+      }
     }
     try {
       task();

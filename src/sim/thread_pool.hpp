@@ -9,7 +9,6 @@
 
 #include <cstddef>
 #include <functional>
-#include <queue>
 #include <thread>
 #include <vector>
 
@@ -54,7 +53,11 @@ class ThreadPool {
   util::Mutex mutex_;
   util::CondVar cv_task_;
   util::CondVar cv_done_;
-  std::queue<std::function<void()>> queue_ RAYSCHED_GUARDED_BY(mutex_);
+  // Pending tasks are queue_[head_, size()). Both reset to empty once the
+  // last one is taken, so the storage is reused and a pool that never holds
+  // more tasks than before allocates nothing per submit.
+  std::vector<std::function<void()>> queue_ RAYSCHED_GUARDED_BY(mutex_);
+  std::size_t head_ RAYSCHED_GUARDED_BY(mutex_) = 0;
   std::size_t in_flight_ RAYSCHED_GUARDED_BY(mutex_) = 0;
   bool stop_ RAYSCHED_GUARDED_BY(mutex_) = false;
   std::exception_ptr first_exception_ RAYSCHED_GUARDED_BY(mutex_);
