@@ -1,6 +1,8 @@
 #include "algorithms/latency.hpp"
 
 #include <algorithm>
+#include <functional>
+#include <string>
 
 #include "core/latency_transform.hpp"
 #include "model/rayleigh.hpp"
@@ -93,40 +95,48 @@ LatencyResult repeated_capacity_schedule(
   return result;
 }
 
-LatencyResult aloha_schedule(const Network& net, double beta,
-                             Propagation propagation, util::RngStream& rng,
-                             const AlohaOptions& options,
-                             std::size_t max_slots) {
-  require(beta > 0.0, "aloha_schedule: beta must be positive");
+namespace {
+
+/// The option checks both ALOHA forms share; `who` names the caller in the
+/// error message.
+void check_aloha_options(const char* who, double beta,
+                         const AlohaOptions& options) {
+  const std::string name(who);
+  require(beta > 0.0, name + ": beta must be positive");
   require(options.initial_probability > 0.0 &&
               options.initial_probability <= 0.5,
-          "aloha_schedule: initial_probability must be in (0, 1/2]");
+          name + ": initial_probability must be in (0, 1/2]");
   require(options.min_probability > 0.0 &&
               options.min_probability <= options.initial_probability,
-          "aloha_schedule: 0 < min_probability <= initial_probability");
+          name + ": 0 < min_probability <= initial_probability");
   require(options.raise_factor >= 1.0,
-          "aloha_schedule: raise_factor must be >= 1");
+          name + ": raise_factor must be >= 1");
+}
 
+/// The ALOHA loop both forms run. Each step draws the transmit set from the
+/// per-link probabilities, transmits it for `repeats` elementary slots,
+/// records each link's first success and, in adaptive mode, halves the
+/// probability of every link that failed all repeats and raises that of
+/// every idle unfinished link. `decide` judges one elementary slot: it
+/// returns, per member of the set, whether that link succeeded.
+LatencyResult run_aloha(
+    std::size_t n, util::RngStream& rng, const AlohaOptions& options,
+    int repeats, std::size_t max_slots,
+    const std::function<std::vector<char>(const LinkSet&)>& decide) {
   LatencyResult result;
-  result.first_success_slot.assign(net.size(), 0);
-  std::vector<bool> done(net.size(), false);
-  std::vector<double> prob(net.size(), options.initial_probability);
-  std::size_t remaining_count = net.size();
-
-  // Section 4: in the Rayleigh model, each randomized step (one draw of the
-  // transmit set) is executed kLatencyRepeats times with fresh fading.
-  const int repeats =
-      propagation == Propagation::Rayleigh ? core::kLatencyRepeats : 1;
+  result.first_success_slot.assign(n, 0);
+  std::vector<bool> done(n, false);
+  std::vector<double> prob(n, options.initial_probability);
+  std::size_t remaining_count = n;
 
   while (remaining_count > 0 && result.slots < max_slots) {
     LinkSet active;
-    for (LinkId i = 0; i < net.size(); ++i) {
+    for (LinkId i = 0; i < n; ++i) {
       if (!done[i] && rng.bernoulli(prob[i])) active.push_back(i);
     }
     std::vector<bool> succeeded(active.size(), false);
     for (int r = 0; r < repeats && result.slots < max_slots; ++r) {
-      const std::vector<char> ok =
-          slot_successes(net, active, beta, propagation, rng);
+      const std::vector<char> ok = decide(active);
       for (std::size_t a = 0; a < active.size(); ++a) {
         if (ok[a] && !succeeded[a]) {
           succeeded[a] = true;
@@ -141,7 +151,7 @@ LatencyResult aloha_schedule(const Network& net, double beta,
       ++result.slots;
     }
     if (options.adaptive) {
-      std::vector<bool> transmitted(net.size(), false);
+      std::vector<bool> transmitted(n, false);
       for (std::size_t a = 0; a < active.size(); ++a) {
         transmitted[active[a]] = true;
         if (!succeeded[a]) {
@@ -149,7 +159,7 @@ LatencyResult aloha_schedule(const Network& net, double beta,
               std::max(options.min_probability, prob[active[a]] * 0.5);
         }
       }
-      for (LinkId i = 0; i < net.size(); ++i) {
+      for (LinkId i = 0; i < n; ++i) {
         if (!done[i] && !transmitted[i]) {
           prob[i] = std::min(0.5, prob[i] * options.raise_factor);
         }
@@ -160,64 +170,41 @@ LatencyResult aloha_schedule(const Network& net, double beta,
   return result;
 }
 
+}  // namespace
+
+LatencyResult aloha_schedule(const Network& net, double beta,
+                             Propagation propagation, util::RngStream& rng,
+                             const AlohaOptions& options,
+                             std::size_t max_slots) {
+  check_aloha_options("aloha_schedule", beta, options);
+  // Section 4: in the Rayleigh model, each randomized step (one draw of the
+  // transmit set) is executed kLatencyRepeats times with fresh fading.
+  const int repeats =
+      propagation == Propagation::Rayleigh ? core::kLatencyRepeats : 1;
+  return run_aloha(net.size(), rng, options, repeats, max_slots,
+                   [&](const LinkSet& active) {
+                     return slot_successes(net, active, beta, propagation,
+                                           rng);
+                   });
+}
+
 LatencyResult aloha_schedule_block_fading(const Network& net, double beta,
                                           model::BlockFadingChannel& channel,
                                           util::RngStream& rng,
                                           const AlohaOptions& options,
                                           std::size_t max_slots) {
-  require(beta > 0.0, "aloha_schedule_block_fading: beta must be positive");
-  require(options.initial_probability > 0.0 &&
-              options.initial_probability <= 0.5,
-          "aloha_schedule_block_fading: initial_probability must be in "
-          "(0, 1/2]");
-
-  LatencyResult result;
-  result.first_success_slot.assign(net.size(), 0);
-  std::vector<bool> done(net.size(), false);
-  std::vector<double> prob(net.size(), options.initial_probability);
-  std::size_t remaining_count = net.size();
-
-  while (remaining_count > 0 && result.slots < max_slots) {
-    LinkSet active;
-    for (LinkId i = 0; i < net.size(); ++i) {
-      if (!done[i] && rng.bernoulli(prob[i])) active.push_back(i);
-    }
-    std::vector<bool> succeeded(active.size(), false);
-    for (int r = 0; r < core::kLatencyRepeats && result.slots < max_slots;
-         ++r) {
-      const std::vector<double> sinrs = channel.sinr_all(active);
-      for (std::size_t a = 0; a < active.size(); ++a) {
-        if (sinrs[a] >= beta && !succeeded[a]) {
-          succeeded[a] = true;
-          if (!done[active[a]]) {
-            done[active[a]] = true;
-            --remaining_count;
-            result.first_success_slot[active[a]] = result.slots;
-          }
-        }
-      }
-      result.schedule.push_back(active);
-      ++result.slots;
-      channel.advance_slot();
-    }
-    if (options.adaptive) {
-      std::vector<bool> transmitted(net.size(), false);
-      for (std::size_t a = 0; a < active.size(); ++a) {
-        transmitted[active[a]] = true;
-        if (!succeeded[a]) {
-          prob[active[a]] =
-              std::max(options.min_probability, prob[active[a]] * 0.5);
-        }
-      }
-      for (LinkId i = 0; i < net.size(); ++i) {
-        if (!done[i] && !transmitted[i]) {
-          prob[i] = std::min(0.5, prob[i] * options.raise_factor);
-        }
-      }
-    }
-  }
-  result.completed = remaining_count == 0;
-  return result;
+  check_aloha_options("aloha_schedule_block_fading", beta, options);
+  return run_aloha(net.size(), rng, options, core::kLatencyRepeats,
+                   max_slots, [&](const LinkSet& active) {
+                     const std::vector<double> sinrs =
+                         channel.sinr_all(active);
+                     std::vector<char> ok(active.size(), 0);
+                     for (std::size_t a = 0; a < active.size(); ++a) {
+                       ok[a] = sinrs[a] >= beta ? 1 : 0;
+                     }
+                     channel.advance_slot();
+                     return ok;
+                   });
 }
 
 }  // namespace raysched::algorithms

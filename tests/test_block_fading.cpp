@@ -90,6 +90,25 @@ TEST(BlockFadingAloha, CompletesUnderLongCoherence) {
   EXPECT_TRUE(result.completed);
 }
 
+// The block-fading form checks its options like aloha_schedule does.
+TEST(BlockFadingAloha, ValidatesOptions) {
+  auto net = paper_network(5, 10);
+  BlockFadingChannel channel(net, 1, 1.0, util::RngStream(26));
+  util::RngStream rng(27);
+  raysched::algorithms::AlohaOptions floor_above_start;
+  floor_above_start.initial_probability = 0.25;
+  floor_above_start.min_probability = 0.5;
+  EXPECT_THROW((void)raysched::algorithms::aloha_schedule_block_fading(
+                   net, 2.5, channel, rng, floor_above_start),
+               raysched::error);
+  raysched::algorithms::AlohaOptions shrinking_raise;
+  shrinking_raise.adaptive = true;
+  shrinking_raise.raise_factor = 0.5;
+  EXPECT_THROW((void)raysched::algorithms::aloha_schedule_block_fading(
+                   net, 2.5, channel, rng, shrinking_raise),
+               raysched::error);
+}
+
 TEST(BlockFadingAloha, CoherenceOneStatisticallyMatchesIidAloha) {
   // With coherence 1 the block channel is exactly the paper's i.i.d. model;
   // mean latency over several runs must be in the same ballpark as the
