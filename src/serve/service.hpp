@@ -9,7 +9,7 @@
 //     the loop keeps serving from the last good schedule — marked stale —
 //     and retries with exponential backoff in slots.
 //   * Recomputes are delegated to a pluggable SchedulePolicy
-//     (serve/schedule_policy.hpp): priced max-weight or the AHM stability
+//     (serve/schedule_policy.hpp): max-weight or the AHM stability
 //     algorithm. Links that depart while a recompute is in flight are
 //     pruned from the result at adoption (stale-weight fix), counted per
 //     link in DropStats::stale_pruned.
@@ -150,9 +150,6 @@ struct ServeReport {
   std::uint64_t recompute_failures = 0;
   std::uint64_t recompute_adoptions = 0;
   std::uint64_t schedule_epoch = 0;
-  /// Policy diagnostic from the last adopted schedule (reporting only;
-  /// not part of the bit-identity contract and reset by restore()).
-  double expected_rate = 0.0;
   HealthState health = HealthState::Healthy;
   std::vector<SlotDigest> digests;  ///< this run() call only
   /// FNV-1a over every digest since construction/restore; equal hashes over
@@ -233,7 +230,7 @@ class Service {
   std::uint64_t next_slot_ = 0;
   std::vector<std::uint64_t> queue_;
   std::vector<char> active_;
-  model::LinkSet schedule_;
+  model::LinkSet schedule_;  // reserved to n; adoption copies into it
   // The schedule's gain block: the restriction of net_ to schedule_, so
   // entry (a, b) is net_.mean_gain(schedule_[a], schedule_[b]). Slots
   // decide on these |schedule|^2 gains instead of reading n-wide columns
@@ -248,7 +245,6 @@ class Service {
   std::vector<char> departed_flags_;
   std::vector<char> feedback_attempt_;  // scheduled with demand this window
   std::vector<char> feedback_success_;  // served at least one packet
-  double expected_rate_ = 0.0;  // last adopted schedule's diagnostic
   // submit_recompute scratch for the overload shed partition, reused across
   // submits (zero-alloc after warm-up).
   std::vector<model::LinkId> heavy_scratch_;

@@ -167,67 +167,93 @@ TEST(HotPathAllocs, SteadyStateSlotLoopMorePacketsThanLinks) {
 // inline unless a test says otherwise. The bound is the count measured
 // when the pin was set, so one more allocation per recompute fails it. The
 // counts follow the trajectory, so a change to the traffic draws moves
-// them too. The sources left:
-//   * the policy's result schedule, grown from empty by push_back in every
-//     recompute and then adopted by move;
-//   * the AHM policy's pre-submit state capture, a fresh n-wide copy of
-//     its probability vector per submit;
-//   * with a worker thread, the nodes of the pool's task queue;
-//   * the one digests.reserve of the run() call.
+// them too. Nothing on the recompute path allocates once warm: the policy
+// refills the result it owns, adoption copies it into the service's
+// schedule, the AHM state capture refills one buffer, the request's
+// per-link lists are reserved to n, and the pool reuses its task storage.
+// The one source left is the digests.reserve of the run() call.
 // Lower a pin when a source goes away; never raise one.
-std::uint64_t recompute_run_allocs(serve::PolicyKind policy,
-                                   core::Propagation propagation,
-                                   std::size_t agent_threads = 1) {
+serve::ServeConfig recompute_config(serve::PolicyKind policy,
+                                    core::Propagation propagation,
+                                    std::size_t agent_threads = 1) {
   serve::ServeConfig config = steady_config(propagation);
   config.policy = policy;
   config.recompute_period = 1;
   config.agent_threads = agent_threads;
+  return config;
+}
+
+struct RecomputeRun {
+  std::uint64_t allocs = 0;        // allocations of run(256)
+  std::uint64_t stale_pruned = 0;  // links pruned at adoption, all slots
+};
+
+RecomputeRun recompute_run(const serve::ServeConfig& config) {
   // A recompute is always in flight, so with a worker thread a count read
   // between slots would race it. Count whole service lifetimes instead:
   // destruction joins the agent's pool, so every submitted recompute is
   // counted in full, and the difference of the two lifetimes is run(256).
-  const auto lifetime_allocs = [&config](std::uint64_t slots) {
+  RecomputeRun result;
+  const auto lifetime_allocs = [&config, &result](std::uint64_t slots) {
     const std::uint64_t base = alloc_count();
     {
       serve::Service service(paper_network(64, 77), config);
       (void)service.run(64);
-      (void)service.run(slots);
+      result.stale_pruned = service.run(slots).drops.stale_pruned;
     }
     return alloc_count() - base;
   };
   const std::uint64_t warm_up_only = lifetime_allocs(0);
-  return lifetime_allocs(256) - warm_up_only;
+  result.allocs = lifetime_allocs(256) - warm_up_only;
+  return result;
 }
 
 TEST(HotPathAllocs, RecomputeSlotsMaxWeightNonFading) {
-  EXPECT_LE(recompute_run_allocs(serve::PolicyKind::MaxWeight,
-                                 core::Propagation::NonFading),
-            767u);
+  EXPECT_LE(recompute_run(recompute_config(serve::PolicyKind::MaxWeight,
+                                           core::Propagation::NonFading))
+                .allocs,
+            1u);
 }
 
 TEST(HotPathAllocs, RecomputeSlotsMaxWeightRayleigh) {
-  EXPECT_LE(recompute_run_allocs(serve::PolicyKind::MaxWeight,
-                                 core::Propagation::Rayleigh),
-            705u);
+  EXPECT_LE(recompute_run(recompute_config(serve::PolicyKind::MaxWeight,
+                                           core::Propagation::Rayleigh))
+                .allocs,
+            1u);
 }
 
 TEST(HotPathAllocs, RecomputeSlotsAhmNonFading) {
-  EXPECT_LE(recompute_run_allocs(serve::PolicyKind::Ahm,
-                                 core::Propagation::NonFading),
-            912u);
+  EXPECT_LE(recompute_run(recompute_config(serve::PolicyKind::Ahm,
+                                           core::Propagation::NonFading))
+                .allocs,
+            1u);
 }
 
 TEST(HotPathAllocs, RecomputeSlotsAhmRayleigh) {
-  EXPECT_LE(recompute_run_allocs(serve::PolicyKind::Ahm,
-                                 core::Propagation::Rayleigh),
-            941u);
+  EXPECT_LE(recompute_run(recompute_config(serve::PolicyKind::Ahm,
+                                           core::Propagation::Rayleigh))
+                .allocs,
+            1u);
 }
 
 // The deployed AHM configuration: the recompute runs on a worker thread.
 TEST(HotPathAllocs, RecomputeSlotsAhmRayleighTwoThreads) {
-  EXPECT_LE(recompute_run_allocs(serve::PolicyKind::Ahm,
-                                 core::Propagation::Rayleigh, 2),
-            949u);
+  EXPECT_LE(recompute_run(recompute_config(serve::PolicyKind::Ahm,
+                                           core::Propagation::Rayleigh, 2))
+                .allocs,
+            1u);
+}
+
+// Churn on recompute slots: links leave while a recompute is in flight, so
+// adoption prunes them from the policy's result as it copies it.
+TEST(HotPathAllocs, RecomputeSlotsAhmRayleighWithChurn) {
+  serve::ServeConfig config = recompute_config(serve::PolicyKind::Ahm,
+                                               core::Propagation::Rayleigh);
+  config.churn_leave = units::Probability(0.05);
+  config.churn_join = units::Probability(0.2);
+  const RecomputeRun run = recompute_run(config);
+  EXPECT_GT(run.stale_pruned, 0u) << "the stale-prune path never ran";
+  EXPECT_LE(run.allocs, 1u);
 }
 
 // The work of a max-weight recompute: the greedy oracle over

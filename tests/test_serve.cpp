@@ -312,12 +312,19 @@ TEST(ServeAgent, ComputesAMaxWeightSchedule) {
   weights[3] = 100.0;
   const ScheduleRequest request = weights_request(0, weights);
   agent.submit(request, 1);
-  RecomputeOutcome outcome = agent.reap();
+  const RecomputeOutcome outcome = agent.reap();
   ASSERT_TRUE(outcome.ok);
   EXPECT_FALSE(outcome.schedule.empty());
   // The dominant-weight link must be part of any max-weight greedy pick.
   EXPECT_NE(std::find(outcome.schedule.begin(), outcome.schedule.end(), 3u),
             outcome.schedule.end());
+  // The outcome is a view of the policy's own result, not a copy: the
+  // next recompute refills the same storage.
+  const ScheduleRequest again = weights_request(1, weights);
+  agent.submit(again, 1);
+  const RecomputeOutcome next = agent.reap();
+  ASSERT_TRUE(next.ok);
+  EXPECT_EQ(next.schedule.data(), outcome.schedule.data());
 }
 
 TEST(ServeAgent, PoisonedWeightsBecomeStructuredFailures) {
@@ -328,7 +335,7 @@ TEST(ServeAgent, PoisonedWeightsBecomeStructuredFailures) {
         0, std::vector<double>(net.size(),
                                std::numeric_limits<double>::quiet_NaN()));
     agent.submit(poisoned, 1);
-    RecomputeOutcome outcome = agent.reap();
+    const RecomputeOutcome outcome = agent.reap();
     EXPECT_FALSE(outcome.ok);
     EXPECT_EQ(outcome.code, ErrorCode::PoisonedInput);
     // The agent survives a failure: the next submit succeeds.
@@ -351,7 +358,12 @@ TEST(ServeAgent, InlineAndThreadedAgreeBitIdentically) {
   const ScheduleRequest request = weights_request(0, weights);
   inline_agent.submit(request, 1);
   pool_agent.submit(request, 1);
-  EXPECT_EQ(inline_agent.reap().schedule, pool_agent.reap().schedule);
+  const RecomputeOutcome inline_outcome = inline_agent.reap();
+  const RecomputeOutcome pool_outcome = pool_agent.reap();
+  EXPECT_EQ(model::LinkSet(inline_outcome.schedule.begin(),
+                           inline_outcome.schedule.end()),
+            model::LinkSet(pool_outcome.schedule.begin(),
+                           pool_outcome.schedule.end()));
 }
 
 TEST(ServeAgent, ProtocolViolationsThrow) {

@@ -51,7 +51,7 @@ int run_serve(int argc, char** argv) {
   flags.add_bool("restore", false, "restore from --snapshot before running");
   flags.add_string("digest-out", "", "write per-slot digest CSV here");
   flags.add_bool("quiet", false, "suppress the per-transition log");
-  flags.parse(argc - 1, argv + 1);
+  flags.parse(argc, argv);
   if (flags.help_requested()) {
     std::cout << flags.usage("raysched_serve");
     return 0;
@@ -141,9 +141,13 @@ int run_serve(int argc, char** argv) {
             << " timeouts " << report.recompute_timeouts << " failures "
             << report.recompute_failures << " epoch "
             << report.schedule_epoch << "\n";
+  // Theorem-1 expected successes of the schedule the service holds now,
+  // priced once here rather than at every adoption.
+  const double expected_rate = model::expected_successes_rayleigh(
+      service.network(), service.snapshot().schedule, config.beta);
   std::cout << "policy " << flags.get_string("policy")
             << " stale-pruned " << report.drops.stale_pruned
-            << " expected-rate " << report.expected_rate << "\n";
+            << " expected-rate " << expected_rate << "\n";
   std::cout << "trajectory-hash " << report.trajectory_hash << "\n";
 
   if (!report.conservation_ok) {
