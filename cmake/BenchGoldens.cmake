@@ -7,7 +7,10 @@
 # Usage:
 #  * include(cmake/BenchGoldens.cmake) from the top-level lists file, after
 #    the bench and example targets exist: registers one ctest
-#    bench_golden_<golden name> per run whose target is built.
+#    bench_golden_<golden name> per run whose target is built. With both
+#    RAYSCHED_BUILD_BENCH and RAYSCHED_BUILD_EXAMPLES on, every target must
+#    exist: a run naming a deleted or misspelt target is a configure error
+#    instead of a golden that silently stops running.
 #  * Script mode: cmake -DPROGRAM=<exe> -DARGS=<args> -DEXPECTED=<file>
 #    -DACTUAL=<file> -P BenchGoldens.cmake runs one comparison. On a
 #    mismatch it writes the output to ACTUAL, prints a diff and fails.
@@ -35,6 +38,10 @@ else()
     separate_arguments(_words UNIX_COMMAND "${_run}")
     list(POP_FRONT _words _name _target)
     if(NOT TARGET ${_target})
+      if(RAYSCHED_BUILD_BENCH AND RAYSCHED_BUILD_EXAMPLES)
+        message(FATAL_ERROR "bench/expected/runs.txt: golden '${_name}' "
+          "runs '${_target}', which is not a bench or example target")
+      endif()
       continue()
     endif()
     list(JOIN _words " " _args)

@@ -50,7 +50,6 @@
 #include "algorithms/multihop.hpp"  // multi-hop request scheduling
 #include "algorithms/routing.hpp"   // relay routing -> multi-hop instances
 #include "algorithms/online.hpp"    // online admission control
-#include "algorithms/queueing.hpp"  // max-weight queue scheduling
 #include "algorithms/weighted.hpp"       // link-weighted capacity
 #include "algorithms/probabilistic.hpp"  // Rayleigh-optimal q (Section 5 OPT)
 

@@ -42,6 +42,7 @@
 #pragma once
 
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -135,6 +136,29 @@ struct SlotDigest {
   std::uint64_t schedule_epoch = 0;
   HealthState health = HealthState::Healthy;
 };
+
+/// The backlog trend of a run, the stability signal of
+/// Ásgeirsson–Halldórsson–Mitra read off the queues. It holds the mean
+/// total backlog over all digests, over the second quarter-window and over
+/// the last one, each divided by the slots it holds; the last window also
+/// holds the slots left over when the length is not divisible by 4. The
+/// slope is the change between the two window means in packets per slot,
+/// taken over the two quarters between the windows' starts. Runs under 4
+/// slots have no quarter-windows: both window means are the overall mean
+/// and the slope is 0.
+struct BacklogTrend {
+  double mean = 0.0;
+  double mean_q2 = 0.0;
+  double mean_q4 = 0.0;
+  double slope = 0.0;
+  /// The drift is under one packet per 20 slots across the whole network:
+  /// queues oscillate instead of growing.
+  bool stable = false;
+};
+
+/// Reads the trend from a run's digests, after run() returns. Throws
+/// raysched::error on an empty span.
+[[nodiscard]] BacklogTrend backlog_trend(std::span<const SlotDigest> digests);
 
 /// Cumulative report for one run() segment.
 struct ServeReport {

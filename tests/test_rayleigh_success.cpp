@@ -475,21 +475,25 @@ TEST(RayleighSuccess, GoldenRepeatedCapacitySchedule) {
 }
 
 TEST(RayleighSuccess, GoldenMaxWeightQueueing) {
-  const model::Network net = paper_network(30, 4);
-  algorithms::QueueSimOptions options;
-  options.slots = 1200;
-  options.beta = units::Threshold(2.5);
-  options.propagation = core::Propagation::Rayleigh;
-  options.arrival_probs = units::uniform_probabilities(
-      net.size(), units::Probability::checked(0.3));
-  util::RngStream rng(8);
-  const algorithms::QueueSimResult result =
-      algorithms::run_max_weight_queueing(net, options, rng);
+  // Max-weight at the fastest cadence the service allows: a recompute
+  // submitted every slot and adopted the next.
+  serve::ServeConfig config;
+  config.master_seed = 8;
+  config.beta = units::Threshold(2.5);
+  config.propagation = core::Propagation::Rayleigh;
+  config.traffic.model = serve::TrafficModel::Poisson;
+  config.traffic.mean_rate = 0.3;
+  config.recompute_period = 1;
+  config.recompute_latency = 1;
+  serve::Service service(paper_network(30, 4), config);
+  const serve::ServeReport report = service.run(1200);
   std::uint64_t hash = kFnvBasis;
-  for (std::size_t q : result.final_queue) hash = fnv_mix(hash, q);
-  EXPECT_EQ(result.served_per_slot, 0x1.1ea3d70a3d70ap+3);
-  EXPECT_EQ(result.average_backlog, 0x1.c622222222222p+3);
-  EXPECT_EQ(hash, 0x9d9230c0c87f84a7ULL);
+  for (std::uint64_t q : service.snapshot().queues) hash = fnv_mix(hash, q);
+  EXPECT_TRUE(report.conservation_ok);
+  EXPECT_EQ(report.served, 10697u);
+  EXPECT_EQ(report.backlog, 19u);
+  EXPECT_EQ(report.trajectory_hash, 0xc40ab429cc36b5a8ULL);
+  EXPECT_EQ(hash, 0x85745f4243cb3082ULL);
 }
 
 TEST(RayleighSuccess, GoldenMultihopSchedule) {

@@ -134,8 +134,7 @@ def check(tree, emit):
             continue
         headers.append(f.path)
         check_pragma_once(f, emit)
-        if (f.path.startswith(("src/core/", "src/model/"))
-                or f.path == "src/algorithms/queueing.hpp"):
+        if f.path.startswith(("src/core/", "src/model/")):
             for lineno, hint in f.grep(UNIT_PARAM_PATTERNS):
                 emit("RS-L7", f.path, lineno, hint)
     if tree.compiler:
