@@ -10,6 +10,7 @@
 #include <fstream>
 #include <iterator>
 #include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -232,6 +233,80 @@ TEST(ServeFaults, PoisonedMidFlightKillRestoreReplaysBitIdentically) {
     }
   }
   std::remove(path.c_str());
+}
+
+std::string snapshot_bytes(const ServeSnapshot& snap) {
+  std::ostringstream os;
+  write_snapshot(os, snap);
+  return os.str();
+}
+
+/// Restores `live`'s snapshot into a fresh service built from `config`: the
+/// restored service's own snapshot must write the same bytes, and both
+/// services must run 200 further slots identically.
+void expect_restore_then_snapshot_is_identity(Service& live,
+                                              const ServeConfig& config) {
+  const ServeSnapshot snap = live.snapshot();
+  Service restored(serve_network(), config);
+  restored.restore(snap);
+  EXPECT_EQ(snapshot_bytes(restored.snapshot()), snapshot_bytes(snap));
+  const ServeReport ra = live.run(200);
+  const ServeReport rb = restored.run(200);
+  expect_same_digests(rb.digests, ra.digests);
+  EXPECT_TRUE(rb.conservation_ok);
+}
+
+TEST(ServeFaults, RestoreThenSnapshotIsIdentity) {
+  {
+    SCOPED_TRACE("ahm rayleigh bursty churn, poisoned recompute in flight");
+    ServeConfig config = base_config();
+    config.policy = PolicyKind::Ahm;
+    config.propagation = core::Propagation::Rayleigh;
+    config.traffic.model = TrafficModel::Bursty;
+    config.traffic.burst_on = units::Probability(0.3);
+    config.churn_leave = units::Probability(0.02);
+    config.churn_join = units::Probability(0.1);
+    config.agent_threads = 2;
+    // The slot-120 recompute fails on its poisoned input. The retry goes
+    // out at 126, after a 4-slot backoff, and a delay armed before it
+    // stretches it to 5 slots. A second delay armed while it is in flight
+    // stays pending in the snapshot, and a churn burst marks links departed.
+    config.faults = FaultScript::parse(
+        std::string(kFaultSpec) +
+        ",121:delay:3,129:delay:2,129:churn-burst:0.2");
+    Service live(serve_network(), config);
+    (void)live.run(131);
+    // Each part of the state checked below is set, so a restore that loses
+    // one of them changes the bytes.
+    const ServeSnapshot snap = live.snapshot();
+    ASSERT_TRUE(snap.recompute.in_flight);
+    ASSERT_EQ(snap.recompute.submit_slot, 126u);
+    ASSERT_TRUE(snap.recompute.poisoned);
+    ASSERT_EQ(snap.recompute.latency_slots, 5u);
+    ASSERT_EQ(snap.pending_extra_latency, 2u);
+    ASSERT_TRUE(snap.poison_active);
+    ASSERT_FALSE(snap.burst_state.empty());
+    ASSERT_FALSE(snap.policy_state.empty());
+    ASSERT_FALSE(snap.schedule.empty());
+    ASSERT_GT(snap.dropped_churn, 0u);
+    ASSERT_GT(snap.recompute_timeouts, 0u);
+    ASSERT_GT(snap.backoff_slots, 0u);
+    ASSERT_EQ(snap.health.poison_streak, 1u);
+    ASSERT_TRUE(snap.schedule_stale);
+    ASSERT_TRUE(std::count(snap.departed_flags.begin(),
+                           snap.departed_flags.end(), 1) > 0);
+    ASSERT_TRUE(std::count(snap.feedback_success.begin(),
+                           snap.feedback_success.end(), 1) > 0);
+    expect_restore_then_snapshot_is_identity(live, config);
+  }
+  {
+    SCOPED_TRACE("idle max-weight non-fading");
+    const ServeConfig config = base_config();
+    Service live(serve_network(), config);
+    (void)live.run(20);  // the slot-16 recompute was adopted at 18
+    ASSERT_FALSE(live.snapshot().recompute.in_flight);
+    expect_restore_then_snapshot_is_identity(live, config);
+  }
 }
 
 TEST(ServeFaults, RestoreRefusesFingerprintMismatch) {
