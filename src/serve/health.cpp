@@ -27,16 +27,16 @@ HealthMonitor::HealthMonitor(const HealthConfig& config) : config_(config) {
   require(config.quarantine_after >= 1,
           "HealthMonitor: quarantine_after must be >= 1");
   // A fresh service starts Healthy: the recovery countdown begins satisfied.
-  clean_slots_ = config_.recover_after_slots;
+  persisted_.clean_slots = config_.recover_after_slots;
 }
 
-void HealthMonitor::note_fault() { clean_slots_ = 0; }
+void HealthMonitor::note_fault() { persisted_.clean_slots = 0; }
 
 void HealthMonitor::on_recompute_ok(std::uint64_t /*slot*/) {
   // A clean adoption clears the poison streak and lifts quarantine; the
   // Degraded->Healthy countdown keeps whatever progress it has.
-  poison_streak_ = 0;
-  quarantine_latch_ = false;
+  persisted_.poison_streak = 0;
+  persisted_.quarantine_latch = false;
 }
 
 void HealthMonitor::on_recompute_timeout(std::uint64_t /*slot*/) {
@@ -46,38 +46,41 @@ void HealthMonitor::on_recompute_timeout(std::uint64_t /*slot*/) {
 void HealthMonitor::on_recompute_error(std::uint64_t /*slot*/,
                                        ErrorCode code) {
   note_fault();
+  Persisted& s = persisted_;
   if (code == ErrorCode::PoisonedInput) {
-    ++poison_streak_;
-    if (poison_streak_ >= config_.quarantine_after) quarantine_latch_ = true;
+    ++s.poison_streak;
+    if (s.poison_streak >= config_.quarantine_after) s.quarantine_latch = true;
   } else {
-    poison_streak_ = 0;
+    s.poison_streak = 0;
   }
 }
 
 void HealthMonitor::apply(std::uint64_t slot, HealthState next,
                           const char* reason) {
-  if (next == state_) return;
-  transitions_.push_back(HealthTransition{slot, state_, next, reason});
-  state_ = next;
+  if (next == persisted_.state) return;
+  transitions_.push_back(
+      HealthTransition{slot, persisted_.state, next, reason});
+  persisted_.state = next;
 }
 
 void HealthMonitor::end_slot(std::uint64_t slot, std::uint64_t total_backlog,
                              bool schedule_stale) {
-  if (overload_latch_) {
+  Persisted& s = persisted_;
+  if (s.overload_latch) {
     if (total_backlog <= config_.overload_exit_backlog) {
-      overload_latch_ = false;
+      s.overload_latch = false;
     }
   } else if (total_backlog >= config_.overload_enter_backlog) {
-    overload_latch_ = true;
+    s.overload_latch = true;
   }
 
-  if (!schedule_stale) ++clean_slots_;
+  if (!schedule_stale) ++s.clean_slots;
 
-  if (quarantine_latch_) {
+  if (s.quarantine_latch) {
     apply(slot, HealthState::Quarantined, "poisoned-input streak");
-  } else if (overload_latch_) {
+  } else if (s.overload_latch) {
     apply(slot, HealthState::Overloaded, "backlog over threshold");
-  } else if (schedule_stale || clean_slots_ < config_.recover_after_slots) {
+  } else if (schedule_stale || s.clean_slots < config_.recover_after_slots) {
     apply(slot, HealthState::Degraded,
           schedule_stale ? "schedule stale" : "recovering");
   } else {
@@ -85,17 +88,8 @@ void HealthMonitor::end_slot(std::uint64_t slot, std::uint64_t total_backlog,
   }
 }
 
-HealthMonitor::Persisted HealthMonitor::persisted() const {
-  return Persisted{state_, poison_streak_, clean_slots_, quarantine_latch_,
-                   overload_latch_};
-}
-
 void HealthMonitor::restore(const Persisted& state) {
-  state_ = state.state;
-  poison_streak_ = state.poison_streak;
-  clean_slots_ = state.clean_slots;
-  quarantine_latch_ = state.quarantine_latch;
-  overload_latch_ = state.overload_latch;
+  persisted_ = state;
   transitions_.clear();
 }
 

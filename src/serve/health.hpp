@@ -75,7 +75,7 @@ class HealthMonitor {
   /// Throws raysched::error unless exit < enter and quarantine_after >= 1.
   explicit HealthMonitor(const HealthConfig& config);
 
-  [[nodiscard]] HealthState state() const { return state_; }
+  [[nodiscard]] HealthState state() const { return persisted_.state; }
   [[nodiscard]] const HealthConfig& config() const { return config_; }
 
   /// A recompute adopted a fresh, validated schedule: clears the poison
@@ -100,8 +100,9 @@ class HealthMonitor {
     return transitions_;
   }
 
-  /// Behavior-bearing internals for snapshot/restore (the transition log is
-  /// report-only and intentionally not part of it).
+  /// The monitor's behavior-bearing state, held as-is and persisted by
+  /// snapshots (the transition log is report-only and intentionally not
+  /// part of it).
   struct Persisted {
     HealthState state = HealthState::Healthy;
     std::size_t poison_streak = 0;
@@ -109,7 +110,7 @@ class HealthMonitor {
     bool quarantine_latch = false;
     bool overload_latch = false;
   };
-  [[nodiscard]] Persisted persisted() const;
+  [[nodiscard]] const Persisted& persisted() const { return persisted_; }
   void restore(const Persisted& state);
 
  private:
@@ -117,11 +118,7 @@ class HealthMonitor {
   void apply(std::uint64_t slot, HealthState next, const char* reason);
 
   HealthConfig config_;
-  HealthState state_ = HealthState::Healthy;
-  std::size_t poison_streak_ = 0;
-  std::uint64_t clean_slots_ = 0;
-  bool quarantine_latch_ = false;
-  bool overload_latch_ = false;
+  Persisted persisted_;
   std::vector<HealthTransition> transitions_;
 };
 

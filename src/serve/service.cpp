@@ -66,12 +66,12 @@ Service::Service(model::Network net, const ServeConfig& config)
           "Service: overload_schedule_frac must be in (0, 1]");
   require(config_.snapshot_period == 0 || !config_.snapshot_path.empty(),
           "Service: snapshot_period needs a snapshot_path");
-  queue_.assign(net_.size(), 0);
-  active_.assign(net_.size(), 1);  // every link starts joined
-  schedule_.reserve(net_.size());
-  departed_flags_.assign(net_.size(), 0);
-  feedback_attempt_.assign(net_.size(), 0);
-  feedback_success_.assign(net_.size(), 0);
+  state_.queues.assign(net_.size(), 0);
+  state_.active.assign(net_.size(), 1);  // every link starts joined
+  state_.schedule.reserve(net_.size());
+  state_.departed_flags.assign(net_.size(), 0);
+  state_.feedback_attempt.assign(net_.size(), 0);
+  state_.feedback_success.assign(net_.size(), 0);
   // Each list below holds at most one entry per link, so none of them
   // grows inside the slot loop.
   arrivals_scratch_.reserve(net_.size());
@@ -87,7 +87,7 @@ Service::Service(model::Network net, const ServeConfig& config)
 
 std::uint64_t Service::total_backlog() const {
   std::uint64_t sum = 0;
-  for (std::uint64_t q : queue_) sum += q;
+  for (std::uint64_t q : state_.queues) sum += q;
   return sum;
 }
 
@@ -96,18 +96,18 @@ bool Service::conservation_holds() const {
 }
 
 bool Service::conservation_holds(std::uint64_t backlog) const {
-  return arrivals_total_ == served_total_ + backlog + drops_.total();
+  return state_.arrivals == state_.served + backlog + state_.drops.total();
 }
 
 void Service::bump_backoff(std::uint64_t slot) {
   // Saturating slot algebra: plain `backoff * 2` wraps to 0 after enough
   // consecutive timeout windows and a wrapped `slot + backoff` lands in the
   // past, so the retry loop would spin every slot instead of backing off.
-  backoff_slots_ =
-      backoff_slots_ == 0
-          ? config_.backoff_initial
-          : std::min(util::sat_mul(backoff_slots_, 2), config_.backoff_max);
-  cooldown_until_ = util::sat_add(slot, backoff_slots_);
+  std::uint64_t& backoff = state_.backoff_slots;
+  backoff = backoff == 0
+                ? config_.backoff_initial
+                : std::min(util::sat_mul(backoff, 2), config_.backoff_max);
+  state_.cooldown_until = util::sat_add(slot, backoff);
 }
 
 // raysched:hot
@@ -125,7 +125,7 @@ void Service::apply_churn(std::uint64_t slot,
     std::vector<model::LinkId>& ids = churn_scratch_;
     ids.clear();
     for (model::LinkId i = 0; i < net_.size(); ++i) {
-      if (active_[i] != 0) ids.push_back(i);
+      if (state_.active[i] != 0) ids.push_back(i);
     }
     if (ids.empty()) continue;
     const std::size_t victims = std::min(
@@ -139,10 +139,10 @@ void Service::apply_churn(std::uint64_t slot,
           j + static_cast<std::size_t>(rng.uniform_index(ids.size() - j));
       std::swap(ids[j], ids[pick]);
       const model::LinkId gone = ids[j];
-      active_[gone] = 0;
-      departed_flags_[gone] = 1;
-      drops_.churn += queue_[gone];
-      queue_[gone] = 0;
+      state_.active[gone] = 0;
+      state_.departed_flags[gone] = 1;
+      state_.drops.churn += state_.queues[gone];
+      state_.queues[gone] = 0;
     }
   }
 
@@ -150,16 +150,17 @@ void Service::apply_churn(std::uint64_t slot,
   // Both lists are drawn against the mask as it stands here, before
   // either is applied.
   std::vector<model::LinkId>& ids = churn_scratch_;
-  const std::size_t leavers = churn_events(rng, leave, join, active_, ids);
+  const std::size_t leavers =
+      churn_events(rng, leave, join, state_.active, ids);
   for (std::size_t k = 0; k < ids.size(); ++k) {
     const model::LinkId i = ids[k];
     if (k < leavers) {
-      active_[i] = 0;
-      departed_flags_[i] = 1;
-      drops_.churn += queue_[i];
-      queue_[i] = 0;
+      state_.active[i] = 0;
+      state_.departed_flags[i] = 1;
+      state_.drops.churn += state_.queues[i];
+      state_.queues[i] = 0;
     } else {
-      active_[i] = 1;  // rejoins with an empty queue
+      state_.active[i] = 1;  // rejoins with an empty queue
     }
   }
 }
@@ -167,7 +168,7 @@ void Service::apply_churn(std::uint64_t slot,
 // raysched:hot
 std::uint64_t Service::apply_arrivals(std::uint64_t slot) {
   util::RngStream rng = master_.derive(kTrafficTag, slot);
-  traffic_.arrivals(rng, active_, arrivals_scratch_);
+  traffic_.arrivals(rng, state_.active, arrivals_scratch_);
 
   const HealthState state = monitor_.state();
   const std::uint64_t threshold =
@@ -182,22 +183,22 @@ std::uint64_t Service::apply_arrivals(std::uint64_t slot) {
     if (state == HealthState::Quarantined) {
       // Quarantine refuses all new work: the network data cannot be
       // trusted, so nothing is promised that might never be served.
-      drops_.quarantine += count;
+      state_.drops.quarantine += count;
       continue;
     }
     const std::uint64_t room =
-        queue_[i] < threshold ? threshold - queue_[i] : 0;
+        state_.queues[i] < threshold ? threshold - state_.queues[i] : 0;
     const std::uint64_t admitted = std::min(count, room);
-    queue_[i] += admitted;
-    admitted_total_ += admitted;
+    state_.queues[i] += admitted;
+    state_.admitted += admitted;
     const std::uint64_t refused = count - admitted;
     if (state == HealthState::Overloaded) {
-      drops_.shed += refused;
+      state_.drops.shed += refused;
     } else {
-      drops_.capacity += refused;
+      state_.drops.capacity += refused;
     }
   }
-  arrivals_total_ += offered;
+  state_.arrivals += offered;
   return offered;
 }
 
@@ -209,9 +210,9 @@ void Service::submit_recompute(std::uint64_t slot) {
   weights.assign(n, 0.0);
   std::size_t active_count = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (active_[i] != 0) {
+    if (state_.active[i] != 0) {
       ++active_count;
-      weights[i] = static_cast<double>(queue_[i]);
+      weights[i] = static_cast<double>(state_.queues[i]);
     }
   }
   if (monitor_.state() == HealthState::Overloaded && active_count > 0) {
@@ -224,7 +225,9 @@ void Service::submit_recompute(std::uint64_t slot) {
                          static_cast<double>(active_count))));
     heavy_scratch_.clear();
     for (model::LinkId i = 0; i < n; ++i) {
-      if (active_[i] != 0 && queue_[i] > 0) heavy_scratch_.push_back(i);
+      if (state_.active[i] != 0 && state_.queues[i] > 0) {
+        heavy_scratch_.push_back(i);
+      }
     }
     if (heavy_scratch_.size() > keep) {
       // Only membership in the top-`keep` matters, not its internal order,
@@ -233,8 +236,8 @@ void Service::submit_recompute(std::uint64_t slot) {
       std::nth_element(heavy_scratch_.begin(), heavy_scratch_.begin() + keep,
                        heavy_scratch_.end(),
                        [this](model::LinkId a, model::LinkId b) {
-                         if (queue_[a] != queue_[b]) {
-                           return queue_[a] > queue_[b];
+                         if (state_.queues[a] != state_.queues[b]) {
+                           return state_.queues[a] > state_.queues[b];
                          }
                          return a < b;
                        });
@@ -249,36 +252,36 @@ void Service::submit_recompute(std::uint64_t slot) {
   // is in flight they double as the adoption-time pruning set.
   request_.departed.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    if (departed_flags_[i] != 0) request_.departed.push_back(i);
+    if (state_.departed_flags[i] != 0) request_.departed.push_back(i);
   }
-  std::fill(departed_flags_.begin(), departed_flags_.end(), 0);
+  std::fill(state_.departed_flags.begin(), state_.departed_flags.end(), 0);
   // AHM feedback payload: (id, succeeded) for every link that attempted
   // service since the previous submit.
   request_.feedback_schedule.clear();
   request_.feedback_success.clear();
   for (std::size_t i = 0; i < n; ++i) {
-    if (feedback_attempt_[i] != 0) {
+    if (state_.feedback_attempt[i] != 0) {
       request_.feedback_schedule.push_back(i);
-      request_.feedback_success.push_back(feedback_success_[i]);
+      request_.feedback_success.push_back(state_.feedback_success[i]);
     }
   }
-  std::fill(feedback_attempt_.begin(), feedback_attempt_.end(), 0);
-  std::fill(feedback_success_.begin(), feedback_success_.end(), 0);
+  std::fill(state_.feedback_attempt.begin(), state_.feedback_attempt.end(), 0);
+  std::fill(state_.feedback_success.begin(), state_.feedback_success.end(), 0);
 
-  inflight_poisoned_ = poison_active_;
-  inflight_timed_out_ = false;
+  state_.inflight_poisoned = state_.poison_active;
+  state_.inflight_timed_out = false;
   // Captured *before* submit: the exact policy state a kill/restore must
   // replay the resubmitted request onto. Legal here — nothing in flight.
   const std::span<const double> state = agent_.policy().persisted_state();
   inflight_policy_state_.assign(state.begin(), state.end());
   const std::uint64_t latency =
-      util::sat_add(config_.recompute_latency, pending_extra_latency_);
-  pending_extra_latency_ = 0;
+      util::sat_add(config_.recompute_latency, state_.pending_extra_latency);
+  state_.pending_extra_latency = 0;
   submit_request(latency);
 }
 
 void Service::submit_request(std::uint64_t latency) {
-  if (!inflight_poisoned_) {
+  if (!state_.inflight_poisoned) {
     agent_.submit(request_, latency);
     return;
   }
@@ -296,7 +299,7 @@ void Service::manage_recompute(std::uint64_t slot) {
   if (agent_.in_flight()) {
     if (slot >= agent_.due_slot()) {
       const RecomputeOutcome outcome = agent_.reap();
-      if (inflight_timed_out_) {
+      if (state_.inflight_timed_out) {
         // The deadline already passed and was accounted; the overdue result
         // is discarded no matter what it says.
       } else if (outcome.ok) {
@@ -305,44 +308,44 @@ void Service::manage_recompute(std::uint64_t slot) {
         // Prune them from the adopted schedule instead of serving ghosts
         // (or re-serving a rejoined link its stale weight earned): copy
         // only the survivors out of the policy's result.
-        schedule_.clear();
+        state_.schedule.clear();
         for (const model::LinkId id : outcome.schedule) {
-          if (departed_flags_[id] != 0) {
-            ++drops_.stale_pruned;
+          if (state_.departed_flags[id] != 0) {
+            ++state_.drops.stale_pruned;
           } else {
-            schedule_.push_back(id);
+            state_.schedule.push_back(id);
           }
         }
         rebuild_block();
-        ++schedule_epoch_;
-        schedule_stale_ = false;
+        ++state_.schedule_epoch;
+        state_.schedule_stale = false;
         monitor_.on_recompute_ok(slot);
-        ++recompute_adoptions_;
-        backoff_slots_ = 0;
-        cooldown_until_ = slot;
+        ++state_.recompute_adoptions;
+        state_.backoff_slots = 0;
+        state_.cooldown_until = slot;
       } else {
-        schedule_stale_ = true;
+        state_.schedule_stale = true;
         monitor_.on_recompute_error(slot, outcome.code);
-        ++recompute_failures_;
+        ++state_.recompute_failures;
         bump_backoff(slot);
       }
-      inflight_timed_out_ = false;
-      inflight_poisoned_ = false;
+      state_.inflight_timed_out = false;
+      state_.inflight_poisoned = false;
       inflight_policy_state_.clear();
-    } else if (!inflight_timed_out_ &&
+    } else if (!state_.inflight_timed_out &&
                slot >= util::sat_add(agent_.submit_slot(),
                                      config_.recompute_deadline)) {
       // Deadline overrun: keep serving from the last good schedule, marked
       // stale, and back off before the next attempt.
-      inflight_timed_out_ = true;
-      schedule_stale_ = true;
+      state_.inflight_timed_out = true;
+      state_.schedule_stale = true;
       monitor_.on_recompute_timeout(slot);
-      ++recompute_timeouts_;
+      ++state_.recompute_timeouts;
       bump_backoff(slot);
     }
   }
-  if (!agent_.in_flight() && slot >= cooldown_until_ &&
-      (schedule_stale_ || slot % config_.recompute_period == 0)) {
+  if (!agent_.in_flight() && slot >= state_.cooldown_until &&
+      (state_.schedule_stale || slot % config_.recompute_period == 0)) {
     submit_recompute(slot);
   }
 }
@@ -355,38 +358,39 @@ bool Service::decides_on_block() const {
 }
 
 void Service::rebuild_block() {
-  if (decides_on_block()) block_.assign_restriction(net_, schedule_);
+  if (decides_on_block()) block_.assign_restriction(net_, state_.schedule);
 }
 
 // raysched:hot
 std::uint64_t Service::serve_slot(std::uint64_t slot) {
-  if (monitor_.state() == HealthState::Quarantined || schedule_.empty()) {
+  if (monitor_.state() == HealthState::Quarantined ||
+      state_.schedule.empty()) {
     return 0;
   }
   std::uint64_t served = 0;
   if (!decides_on_block()) {
     // Max-weight scheduled sets are feasibility-certified: every live
     // service succeeds. Links that left after adoption are skipped.
-    for (model::LinkId i : schedule_) {
-      if (active_[i] != 0 && queue_[i] > 0) {
-        feedback_attempt_[i] = 1;
-        feedback_success_[i] = 1;
-        --queue_[i];
+    for (model::LinkId i : state_.schedule) {
+      if (state_.active[i] != 0 && state_.queues[i] > 0) {
+        state_.feedback_attempt[i] = 1;
+        state_.feedback_success[i] = 1;
+        --state_.queues[i];
         ++served;
       }
     }
   } else {
     // Decide the live subset on the schedule's gain block: `live` holds
-    // positions in schedule_, and block_ entry (a, b) is the mean gain from
-    // schedule_[a] to schedule_[b], so the kernels read the same gains in
+    // positions in the schedule, and block_ entry (a, b) is the mean gain
+    // from schedule[a] to schedule[b], so the kernels read the same gains in
     // the same order as on the full network. AHM non-fading serves the
     // links whose deterministic SINR clears beta — the success/failure
     // signal its probabilities feed on; Rayleigh draws one realization.
     model::LinkSet& live = live_scratch_;
     live.clear();
-    for (std::size_t a = 0; a < schedule_.size(); ++a) {
-      const model::LinkId i = schedule_[a];
-      if (active_[i] != 0 && queue_[i] > 0) live.push_back(a);
+    for (std::size_t a = 0; a < state_.schedule.size(); ++a) {
+      const model::LinkId i = state_.schedule[a];
+      if (state_.active[i] != 0 && state_.queues[i] > 0) live.push_back(a);
     }
     if (!live.empty()) {
       std::vector<char>& ok = success_scratch_;
@@ -401,17 +405,17 @@ std::uint64_t Service::serve_slot(std::uint64_t slot) {
         model::rayleigh_successes(block_, live, config_.beta, rng, ok);
       }
       for (std::size_t a = 0; a < live.size(); ++a) {
-        const model::LinkId i = schedule_[live[a]];
-        feedback_attempt_[i] = 1;
+        const model::LinkId i = state_.schedule[live[a]];
+        state_.feedback_attempt[i] = 1;
         if (ok[a] != 0) {
-          feedback_success_[i] = 1;
-          --queue_[i];
+          state_.feedback_success[i] = 1;
+          --state_.queues[i];
           ++served;
         }
       }
     }
   }
-  served_total_ += served;
+  state_.served += served;
   return served;
 }
 
@@ -443,8 +447,8 @@ ServeReport Service::run(std::uint64_t slots) {
 
   // raysched:hot(slot-loop)
   for (std::uint64_t step = 0; step < slots; ++step) {
-    const std::uint64_t slot = next_slot_;
-    const std::uint64_t drops_at_start = drops_.total();
+    const std::uint64_t slot = state_.next_slot;
+    const std::uint64_t drops_at_start = state_.drops.total();
 
     slot_events_.clear();
     burst_scratch.clear();
@@ -455,14 +459,15 @@ ServeReport Service::run(std::uint64_t slots) {
         case FaultKind::RecomputeDelay:
           // Saturating: a scripted pile-up of delay faults must push the
           // next submit's latency toward "never", not wrap it into "now".
-          pending_extra_latency_ = util::sat_add(
-              pending_extra_latency_, static_cast<std::uint64_t>(event.arg));
+          state_.pending_extra_latency =
+              util::sat_add(state_.pending_extra_latency,
+                            static_cast<std::uint64_t>(event.arg));
           break;
         case FaultKind::PoisonOn:
-          poison_active_ = true;
+          state_.poison_active = true;
           break;
         case FaultKind::PoisonOff:
-          poison_active_ = false;
+          state_.poison_active = false;
           break;
         case FaultKind::ChurnBurst:
           burst_scratch.push_back(event.arg);
@@ -486,40 +491,32 @@ ServeReport Service::run(std::uint64_t slots) {
     const std::uint64_t served = serve_slot(slot);
 
     backlog = total_backlog();
-    monitor_.end_slot(slot, backlog, schedule_stale_);
+    monitor_.end_slot(slot, backlog, state_.schedule_stale);
     if (!conservation_holds(backlog)) conservation_violated_ = true;
 
     SlotDigest digest;
     digest.slot = slot;
     digest.arrivals = offered;
     digest.served = served;
-    digest.dropped = drops_.total() - drops_at_start;
+    digest.dropped = state_.drops.total() - drops_at_start;
     digest.backlog = backlog;
-    digest.schedule_epoch = schedule_epoch_;
+    digest.schedule_epoch = state_.schedule_epoch;
     digest.health = monitor_.state();
     digest_slot(digest);
     report.digests.push_back(digest);
     ++report.slots_run;
-    next_slot_ = slot + 1;
+    state_.next_slot = slot + 1;
 
     if (config_.snapshot_period > 0 &&
-        next_slot_ % config_.snapshot_period == 0) {
+        state_.next_slot % config_.snapshot_period == 0) {
       save_snapshot_atomic(config_.snapshot_path, snapshot());
     }
   }
 
-  report.next_slot = next_slot_;
-  report.arrivals = arrivals_total_;
-  report.admitted = admitted_total_;
-  report.served = served_total_;
+  static_cast<ServeCounters&>(report) = state_;
   // No slot ran (run(0), or a crash at the first): count the queues now.
   if (report.slots_run == 0) backlog = total_backlog();
   report.backlog = backlog;
-  report.drops = drops_;
-  report.recompute_timeouts = recompute_timeouts_;
-  report.recompute_failures = recompute_failures_;
-  report.recompute_adoptions = recompute_adoptions_;
-  report.schedule_epoch = schedule_epoch_;
   report.health = monitor_.state();
   report.trajectory_hash = hash_;
   report.conservation_ok =
@@ -535,55 +532,31 @@ ServeSnapshot Service::snapshot() const {
   snap.propagation = to_string(config_.propagation);
   snap.traffic_model = to_string(config_.traffic.model);
   snap.policy = to_string(agent_.policy().kind());
-  snap.next_slot = next_slot_;
+  static_cast<ServeState&>(snap) = state_;
   snap.health = monitor_.persisted();
-  snap.arrivals_total = arrivals_total_;
-  snap.admitted_total = admitted_total_;
-  snap.served_total = served_total_;
-  snap.dropped_capacity = drops_.capacity;
-  snap.dropped_shed = drops_.shed;
-  snap.dropped_churn = drops_.churn;
-  snap.dropped_quarantine = drops_.quarantine;
-  snap.stale_pruned = drops_.stale_pruned;
-  snap.recompute_timeouts = recompute_timeouts_;
-  snap.recompute_failures = recompute_failures_;
-  snap.recompute_adoptions = recompute_adoptions_;
-  snap.schedule_epoch = schedule_epoch_;
-  snap.schedule_stale = schedule_stale_;
-  snap.schedule = schedule_;
-  snap.queues = queue_;
-  snap.active = active_;
   snap.burst_state = traffic_.burst_state();
-  snap.departed_flags = departed_flags_;
-  snap.feedback_attempt = feedback_attempt_;
-  snap.feedback_success = feedback_success_;
   if (agent_.in_flight()) {
     // request_ is safe to read mid-flight: the worker task only reads it
     // too. Its weights are the clean ones even inside the poison window.
-    snap.recompute.in_flight = true;
-    snap.recompute.submit_slot = request_.slot;
-    snap.recompute.latency_slots = agent_.latency_slots();
-    snap.recompute.timed_out = inflight_timed_out_;
-    snap.recompute.poisoned = inflight_poisoned_;
-    snap.recompute.weights = request_.weights;
-    snap.recompute.departed = request_.departed;
-    snap.recompute.feedback_schedule = request_.feedback_schedule;
-    snap.recompute.feedback_success = request_.feedback_success;
+    snap.recompute = {true,
+                      request_.slot,
+                      agent_.latency_slots(),
+                      request_.weights,
+                      request_.departed,
+                      request_.feedback_schedule,
+                      request_.feedback_success};
     // Pre-submit capture: restore replays the resubmission onto it.
     snap.policy_state = inflight_policy_state_;
   } else {
     const std::span<const double> state = agent_.policy().persisted_state();
     snap.policy_state.assign(state.begin(), state.end());
   }
-  snap.backoff_slots = backoff_slots_;
-  snap.cooldown_until = cooldown_until_;
-  snap.pending_extra_latency = pending_extra_latency_;
-  snap.poison_active = poison_active_;
   return snap;
 }
 
 void Service::restore(const ServeSnapshot& snap) {
-  require(next_slot_ == 0 && arrivals_total_ == 0 && !agent_.in_flight(),
+  require(state_.next_slot == 0 && state_.arrivals == 0 &&
+              !agent_.in_flight(),
           "Service::restore: only a freshly constructed service can restore");
   require_code(snap.master_seed == config_.master_seed,
                ErrorCode::SnapshotFormat,
@@ -616,6 +589,9 @@ void Service::restore(const ServeSnapshot& snap) {
                    snap.feedback_success.size() == net_.size(),
                ErrorCode::SnapshotFormat,
                "Service::restore: per-link vector size mismatch");
+  require_code(snap.burst_state.size() == traffic_.burst_state().size(),
+               ErrorCode::SnapshotFormat,
+               "Service::restore: burst state size mismatch");
   require_code(std::all_of(snap.schedule.begin(), snap.schedule.end(),
                            [this](model::LinkId id) {
                              return id < net_.size();
@@ -625,68 +601,44 @@ void Service::restore(const ServeSnapshot& snap) {
   // A corrupt counter or queue digit fails here instead of surfacing as a
   // conservation violation blamed on the service. Saturating sums keep
   // hostile counters from wrapping into a match.
-  std::uint64_t accounted = snap.served_total;
+  std::uint64_t accounted = snap.served;
   for (std::uint64_t v : snap.queues) accounted = util::sat_add(accounted, v);
-  for (std::uint64_t v : {snap.dropped_capacity, snap.dropped_shed,
-                          snap.dropped_churn, snap.dropped_quarantine}) {
+  for (std::uint64_t v : {snap.drops.capacity, snap.drops.shed,
+                          snap.drops.churn, snap.drops.quarantine}) {
     accounted = util::sat_add(accounted, v);
   }
   require_code(accounted < std::numeric_limits<std::uint64_t>::max() &&
-                   snap.arrivals_total == accounted,
+                   snap.arrivals == accounted,
                ErrorCode::SnapshotFormat,
                "Service::restore: counters violate arrivals == served + "
                "backlog + drops");
-
-  next_slot_ = snap.next_slot;
-  monitor_.restore(snap.health);
-  arrivals_total_ = snap.arrivals_total;
-  admitted_total_ = snap.admitted_total;
-  served_total_ = snap.served_total;
-  drops_.capacity = snap.dropped_capacity;
-  drops_.shed = snap.dropped_shed;
-  drops_.churn = snap.dropped_churn;
-  drops_.quarantine = snap.dropped_quarantine;
-  drops_.stale_pruned = snap.stale_pruned;
-  recompute_timeouts_ = snap.recompute_timeouts;
-  recompute_failures_ = snap.recompute_failures;
-  recompute_adoptions_ = snap.recompute_adoptions;
-  schedule_epoch_ = snap.schedule_epoch;
-  schedule_stale_ = snap.schedule_stale;
-  schedule_ = snap.schedule;
-  rebuild_block();
-  queue_ = snap.queues;
-  active_ = snap.active;
-  traffic_.set_burst_state(snap.burst_state);
-  departed_flags_ = snap.departed_flags;
-  feedback_attempt_ = snap.feedback_attempt;
-  feedback_success_ = snap.feedback_success;
-  backoff_slots_ = snap.backoff_slots;
-  cooldown_until_ = snap.cooldown_until;
-  pending_extra_latency_ = snap.pending_extra_latency;
-  poison_active_ = snap.poison_active;
-
-  // Rehydrate the policy before any resubmission: the persisted state is
-  // the pre-submit capture, so replaying the request below reproduces the
-  // exact post-submit policy state of the killed service.
+  // Rehydrate the policy first: it validates the state before taking it,
+  // so a refusal still leaves the whole service untouched. The persisted
+  // state is the pre-submit capture, so replaying the request below
+  // reproduces the exact post-submit policy state of the killed service.
   try {
     agent_.policy().restore_state(snap.policy_state, snap.schedule);
   } catch (const error& e) {
     throw coded_error(ErrorCode::SnapshotFormat, e.what());
   }
 
-  if (snap.recompute.in_flight) {
+  state_ = snap;
+  rebuild_block();
+  monitor_.restore(snap.health);
+  traffic_.set_burst_state(snap.burst_state);
+
+  const RecomputeSnapshot& rc = snap.recompute;
+  if (rc.in_flight) {
     // Resubmit the interrupted recompute with its original submit slot and
     // latency, so the adoption slot — and thus the trajectory — is
     // preserved. A poisoned request is re-corrupted before submission.
     inflight_policy_state_ = snap.policy_state;
-    inflight_timed_out_ = snap.recompute.timed_out;
-    inflight_poisoned_ = snap.recompute.poisoned;
-    request_.slot = snap.recompute.submit_slot;
-    request_.weights = snap.recompute.weights;
-    request_.departed = snap.recompute.departed;
-    request_.feedback_schedule = snap.recompute.feedback_schedule;
-    request_.feedback_success = snap.recompute.feedback_success;
-    submit_request(snap.recompute.latency_slots);
+    request_.slot = rc.submit_slot;
+    request_.weights = rc.weights;
+    request_.departed = rc.departed;
+    request_.feedback_schedule = rc.feedback_schedule;
+    request_.feedback_success = rc.feedback_success;
+    submit_request(rc.latency_slots);
   }
 }
 

@@ -1,7 +1,7 @@
 // raysched: the fault-tolerant heavy-traffic serving loop.
 //
-// Service pumps stochastic per-link traffic (serve/traffic.hpp) through the
-// max-weight scheduler slot by slot while links join and leave, and is
+// Service pumps stochastic per-link traffic (serve/traffic.hpp) through a
+// schedule policy slot by slot while links join and leave, and is
 // engineered to keep serving through faults instead of stopping:
 //
 //   * Schedule recomputes run asynchronously on a ScheduleAgent with a slot
@@ -110,22 +110,6 @@ struct ServeConfig {
   FaultScript faults;
 };
 
-/// Exact drop accounting — nothing is ever lost silently.
-struct DropStats {
-  std::uint64_t capacity = 0;    ///< queue at cap (normal admission)
-  std::uint64_t shed = 0;        ///< overload admission threshold
-  std::uint64_t churn = 0;       ///< backlog of links that left
-  std::uint64_t quarantine = 0;  ///< arrivals refused while quarantined
-  /// Schedule entries pruned at adoption because the link departed while
-  /// the recompute was in flight (the stale-weights churn bug). Counts
-  /// pruned *links*, not packets — their backlog was already booked under
-  /// `churn` when the link left — so it is deliberately NOT in total().
-  std::uint64_t stale_pruned = 0;
-  [[nodiscard]] std::uint64_t total() const {
-    return capacity + shed + churn + quarantine;
-  }
-};
-
 /// One slot's closing record; the unit of bit-identity comparison.
 struct SlotDigest {
   std::uint64_t slot = 0;
@@ -160,20 +144,12 @@ struct BacklogTrend {
 /// raysched::error on an empty span.
 [[nodiscard]] BacklogTrend backlog_trend(std::span<const SlotDigest> digests);
 
-/// Cumulative report for one run() segment.
-struct ServeReport {
+/// Cumulative report for one run() segment. The inherited counters are the
+/// lifetime totals where the service stopped, including state restored from
+/// a snapshot.
+struct ServeReport : ServeCounters {
   std::uint64_t slots_run = 0;  ///< slots executed by this run() call
-  std::uint64_t next_slot = 0;  ///< where the service stopped
-  // Lifetime totals (including state restored from a snapshot).
-  std::uint64_t arrivals = 0;
-  std::uint64_t admitted = 0;
-  std::uint64_t served = 0;
   std::uint64_t backlog = 0;
-  DropStats drops;
-  std::uint64_t recompute_timeouts = 0;
-  std::uint64_t recompute_failures = 0;
-  std::uint64_t recompute_adoptions = 0;
-  std::uint64_t schedule_epoch = 0;
   HealthState health = HealthState::Healthy;
   std::vector<SlotDigest> digests;  ///< this run() call only
   /// FNV-1a over every digest since construction/restore; equal hashes over
@@ -208,7 +184,7 @@ class Service {
   /// invariant, and raysched::error if slots were already run.
   void restore(const ServeSnapshot& snap);
 
-  [[nodiscard]] std::uint64_t next_slot() const { return next_slot_; }
+  [[nodiscard]] std::uint64_t next_slot() const { return state_.next_slot; }
   [[nodiscard]] const HealthMonitor& health() const { return monitor_; }
   [[nodiscard]] const ServeConfig& config() const { return config_; }
   [[nodiscard]] const model::Network& network() const { return net_; }
@@ -231,7 +207,7 @@ class Service {
   /// False only on the feasibility-certified max-weight non-fading path,
   /// which serves without evaluating the set and never builds block_.
   [[nodiscard]] bool decides_on_block() const;
-  /// Refills block_ from schedule_; called wherever schedule_ is assigned.
+  /// Refills block_ from the schedule; called wherever it is assigned.
   void rebuild_block();
   [[nodiscard]] std::uint64_t total_backlog() const;
   void bump_backoff(std::uint64_t slot);
@@ -251,49 +227,20 @@ class Service {
   ScheduleAgent agent_;
   HealthMonitor monitor_;
 
-  std::uint64_t next_slot_ = 0;
-  std::vector<std::uint64_t> queue_;
-  std::vector<char> active_;
-  model::LinkSet schedule_;  // reserved to n; adoption copies into it
-  // The schedule's gain block: the restriction of net_ to schedule_, so
-  // entry (a, b) is net_.mean_gain(schedule_[a], schedule_[b]). Slots
+  // Everything else a snapshot persists; state_.schedule is reserved to n,
+  // so adoption copies into it without allocating.
+  ServeState state_;
+  // The schedule's gain block: the restriction of net_ to state_.schedule,
+  // so entry (a, b) is net_.mean_gain(schedule[a], schedule[b]). Slots
   // decide on these |schedule|^2 gains instead of reading n-wide columns
   // of net_. Its storage is reused across adoptions.
   model::Network block_;
-  std::uint64_t schedule_epoch_ = 0;
-  bool schedule_stale_ = false;
-
-  // Churn/feedback accumulators since the last submit (size n). departed_
-  // flags_ doubles as the next request's churn payload and — while a
-  // recompute is in flight — the adoption-time stale-schedule pruning set.
-  std::vector<char> departed_flags_;
-  std::vector<char> feedback_attempt_;  // scheduled with demand this window
-  std::vector<char> feedback_success_;  // served at least one packet
-  // submit_recompute scratch for the overload shed partition, reused across
-  // submits (zero-alloc after warm-up).
-  std::vector<model::LinkId> heavy_scratch_;
-
-  // Recompute bookkeeping mirrored into snapshots.
-  bool inflight_timed_out_ = false;
-  bool inflight_poisoned_ = false;
   /// Policy state captured immediately *before* the in-flight submit, so a
   /// snapshot + restore can replay the resubmitted request onto it.
   std::vector<double> inflight_policy_state_;
-  std::uint64_t backoff_slots_ = 0;
-  std::uint64_t cooldown_until_ = 0;
-
-  // Fault-injector state that crosses slots.
-  std::uint64_t pending_extra_latency_ = 0;
-  bool poison_active_ = false;
-
-  // Lifetime counters (exact integers).
-  std::uint64_t arrivals_total_ = 0;
-  std::uint64_t admitted_total_ = 0;
-  std::uint64_t served_total_ = 0;
-  DropStats drops_;
-  std::uint64_t recompute_timeouts_ = 0;
-  std::uint64_t recompute_failures_ = 0;
-  std::uint64_t recompute_adoptions_ = 0;
+  // submit_recompute scratch for the overload shed partition, reused across
+  // submits (zero-alloc after warm-up).
+  std::vector<model::LinkId> heavy_scratch_;
 
   bool conservation_violated_ = false;  // latched for reporting, not state
 

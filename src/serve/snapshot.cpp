@@ -80,10 +80,10 @@ void write_snapshot(std::ostream& os, const ServeSnapshot& snap) {
   os << "health " << to_string(snap.health.state);
   end_line(os, snap.health.poison_streak, snap.health.clean_slots,
            bit(snap.health.quarantine_latch), bit(snap.health.overload_latch));
-  write_line(os, "counters", snap.arrivals_total, snap.admitted_total,
-             snap.served_total);
-  write_line(os, "drops", snap.dropped_capacity, snap.dropped_shed,
-             snap.dropped_churn, snap.dropped_quarantine, snap.stale_pruned);
+  write_line(os, "counters", snap.arrivals, snap.admitted, snap.served);
+  const DropStats& drops = snap.drops;
+  write_line(os, "drops", drops.capacity, drops.shed, drops.churn,
+             drops.quarantine, drops.stale_pruned);
   write_line(os, "recompute-stats", snap.recompute_timeouts,
              snap.recompute_failures, snap.recompute_adoptions);
   os << "epoch ";
@@ -105,7 +105,7 @@ void write_snapshot(std::ostream& os, const ServeSnapshot& snap) {
                  "write_snapshot: in-flight weights must have size n and "
                  "feedback flags must align");
     write_line(os, "inflight", 1, rc.submit_slot, rc.latency_slots,
-               bit(rc.timed_out), bit(rc.poisoned));
+               bit(snap.inflight_timed_out), bit(snap.inflight_poisoned));
     util::write_list(os, "weights", rc.weights, finite);
     util::write_list(os, "inflight-departed", rc.departed, id_below_n);
     // Feedback as (id, success) pairs, aligned by construction.
@@ -163,15 +163,15 @@ ServeSnapshot read_snapshot(std::istream& is) {
   snap.health.quarantine_latch = r.flag("quarantine latch");
   snap.health.overload_latch = r.flag("overload latch");
   r.expect("counters");
-  snap.arrivals_total = r.u64("arrivals");
-  snap.admitted_total = r.u64("admitted");
-  snap.served_total = r.u64("served");
+  snap.arrivals = r.u64("arrivals");
+  snap.admitted = r.u64("admitted");
+  snap.served = r.u64("served");
   r.expect("drops");
-  snap.dropped_capacity = r.u64("capacity drops");
-  snap.dropped_shed = r.u64("shed drops");
-  snap.dropped_churn = r.u64("churn drops");
-  snap.dropped_quarantine = r.u64("quarantine drops");
-  snap.stale_pruned = r.u64("stale-pruned count");
+  snap.drops.capacity = r.u64("capacity drops");
+  snap.drops.shed = r.u64("shed drops");
+  snap.drops.churn = r.u64("churn drops");
+  snap.drops.quarantine = r.u64("quarantine drops");
+  snap.drops.stale_pruned = r.u64("stale-pruned count");
   r.expect("recompute-stats");
   snap.recompute_timeouts = r.u64("recompute timeouts");
   snap.recompute_failures = r.u64("recompute failures");
@@ -197,8 +197,8 @@ ServeSnapshot read_snapshot(std::istream& is) {
     rc.submit_slot = r.u64("inflight submit slot");
     rc.latency_slots = r.u64("inflight latency");
     r.check(rc.latency_slots >= 1, "inflight latency must be >= 1");
-    rc.timed_out = r.flag("inflight timeout flag");
-    rc.poisoned = r.flag("inflight poison flag");
+    snap.inflight_timed_out = r.flag("inflight timeout flag");
+    snap.inflight_poisoned = r.flag("inflight poison flag");
     rc.weights = r.list<double>("weights", n, n, [&r] {
       const double w = r.finite("weight");
       r.check(w >= 0.0, "weights must be non-negative");

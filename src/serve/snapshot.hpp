@@ -4,9 +4,10 @@
 // with the atomic-rename idiom (write path.tmp, rename it over path; see
 // util::write_file_atomic), so a process kill at any point leaves either
 // the previous snapshot or the new one — never a torn file. Nothing is
-// fsynced: a power loss can still lose or tear the file. Restoring from a snapshot and continuing produces a
-// bit-identical trajectory to the uninterrupted run, which tests/soak
-// enforce. Two design choices make that exactness cheap:
+// fsynced: a power loss can still lose or tear the file. Restoring from a
+// snapshot and continuing produces a bit-identical trajectory to the
+// uninterrupted run, which tests/soak enforce. Two design choices make that
+// exactness cheap:
 //
 //   * RNG position == slot index. Every stream the service consumes is
 //     derived per slot from the master seed (master.derive(tag)
@@ -17,6 +18,11 @@
 //     The one non-finite hazard — NaN-poisoned recompute weights in flight
 //     at snapshot time — is stored as the *clean* pre-poison weights plus a
 //     poisoned flag; restore re-applies the corruption before resubmitting.
+//
+// The service's own state is one struct, ServeState, declared here: the
+// Service holds exactly one and a snapshot carries it as-is, next to the
+// state of the service's components (health ladder, traffic modulator,
+// policy) and the in-flight request.
 //
 // The header also carries a fingerprint (seed, n, beta, traffic model);
 // restore refuses a snapshot whose fingerprint does not match the service
@@ -37,16 +43,80 @@
 
 namespace raysched::serve {
 
+/// Exact drop accounting — nothing is ever lost silently.
+struct DropStats {
+  std::uint64_t capacity = 0;    ///< queue at cap (normal admission)
+  std::uint64_t shed = 0;        ///< overload admission threshold
+  std::uint64_t churn = 0;       ///< backlog of links that left
+  std::uint64_t quarantine = 0;  ///< arrivals refused while quarantined
+  /// Schedule entries pruned at adoption because the link departed while
+  /// the recompute was in flight (the stale-weights churn bug). Counts
+  /// pruned *links*, not packets — their backlog was already booked under
+  /// `churn` when the link left — so it is deliberately NOT in total().
+  std::uint64_t stale_pruned = 0;
+  [[nodiscard]] std::uint64_t total() const {
+    return capacity + shed + churn + quarantine;
+  }
+};
+
+/// Lifetime totals in exact integers, shared by the service state and each
+/// run()'s ServeReport. The conservation invariant
+///   arrivals == served + backlog + drops.total()
+/// is checked across snapshot boundaries.
+struct ServeCounters {
+  std::uint64_t next_slot = 0;  ///< the next slot the service executes
+  std::uint64_t arrivals = 0;   ///< offered, before admission
+  std::uint64_t admitted = 0;
+  std::uint64_t served = 0;
+  DropStats drops;
+  std::uint64_t recompute_timeouts = 0;
+  std::uint64_t recompute_failures = 0;
+  std::uint64_t recompute_adoptions = 0;
+  std::uint64_t schedule_epoch = 0;  ///< monotone count of adopted schedules
+};
+
+/// The serving loop's own behavior-bearing state between two slots.
+struct ServeState : ServeCounters {
+  /// The active schedule, and whether it is stale (serving past a
+  /// timeout/failure).
+  bool schedule_stale = false;
+  std::vector<std::size_t> schedule;  ///< active schedule's link ids
+
+  std::vector<std::uint64_t> queues;  ///< per-link backlog, size n
+  std::vector<char> active;           ///< per-link membership, size n
+
+  /// Links that went inactive since the last submit (size n flags): the
+  /// source of the next request's departed list, and — while a recompute is
+  /// in flight — the adoption-time stale-schedule pruning set.
+  std::vector<char> departed_flags;
+  /// AHM feedback accumulators since the last submit (size n flags):
+  /// attempted = scheduled with demand; succeeded = served >= 1 packet.
+  std::vector<char> feedback_attempt;
+  std::vector<char> feedback_success;
+
+  /// The in-flight recompute was already declared timed out at its
+  /// deadline, so its eventual result is discarded, not adopted; and its
+  /// weights were NaN-corrupted at submit (poison fault window). Both are
+  /// false while nothing is in flight.
+  bool inflight_timed_out = false;
+  bool inflight_poisoned = false;
+
+  /// Exponential-backoff state: current delay and the first slot at which
+  /// the loop may submit again.
+  std::uint64_t backoff_slots = 0;
+  std::uint64_t cooldown_until = 0;
+
+  /// Armed fault-injector state that crosses slots: a pending delay:<extra>
+  /// that applies to the next submit, and whether the poison window is open.
+  std::uint64_t pending_extra_latency = 0;
+  bool poison_active = false;
+};
+
 /// Mid-flight recompute request, captured so restore can resubmit it.
 struct RecomputeSnapshot {
   bool in_flight = false;
   std::uint64_t submit_slot = 0;
   std::uint64_t latency_slots = 0;
-  /// The loop already declared this request timed out at its deadline; the
-  /// eventual result must be discarded, not adopted.
-  bool timed_out = false;
-  /// Weights were NaN-corrupted at submit (poison fault window).
-  bool poisoned = false;
   /// Clean (pre-poison) weight inputs; always finite, so they serialize.
   std::vector<double> weights;
   /// The request's churn payload: links that had departed since the submit
@@ -58,8 +128,9 @@ struct RecomputeSnapshot {
   std::vector<char> feedback_success;
 };
 
-/// Complete behavior-bearing service state between two slots.
-struct ServeSnapshot {
+/// Complete behavior-bearing service state between two slots: the
+/// service's ServeState plus its components' state and the fingerprint.
+struct ServeSnapshot : ServeState {
   // Fingerprint: restore refuses mismatches.
   std::uint64_t master_seed = 0;
   std::size_t num_links = 0;
@@ -70,47 +141,8 @@ struct ServeSnapshot {
   /// fingerprint because policy state is not portable across policies.
   std::string policy;
 
-  /// The next slot the restored service will execute.
-  std::uint64_t next_slot = 0;
-
   HealthMonitor::Persisted health;
-
-  // Exact integer counters; the conservation invariant
-  //   arrivals == served + backlog + drops
-  // is checked across snapshot boundaries.
-  std::uint64_t arrivals_total = 0;
-  std::uint64_t admitted_total = 0;
-  std::uint64_t served_total = 0;
-  std::uint64_t dropped_capacity = 0;
-  std::uint64_t dropped_shed = 0;
-  std::uint64_t dropped_churn = 0;
-  std::uint64_t dropped_quarantine = 0;
-  /// Schedule entries pruned at adoption because their link departed while
-  /// the recompute was in flight. Counts links, not packets — excluded from
-  /// the packet-conservation total (see DropStats::stale_pruned).
-  std::uint64_t stale_pruned = 0;
-  std::uint64_t recompute_timeouts = 0;
-  std::uint64_t recompute_failures = 0;
-  std::uint64_t recompute_adoptions = 0;
-
-  /// Monotone count of adopted schedules, and whether the active one is
-  /// stale (serving past a timeout/failure).
-  std::uint64_t schedule_epoch = 0;
-  bool schedule_stale = false;
-  std::vector<std::size_t> schedule;  ///< active schedule's link ids
-
-  std::vector<std::uint64_t> queues;  ///< per-link backlog, size n
-  std::vector<char> active;           ///< per-link membership, size n
-  std::vector<char> burst_state;      ///< traffic modulator (may be empty)
-
-  /// Links that went inactive since the last submit (size n flags): the
-  /// source of the next request's departed list, and — while a recompute is
-  /// in flight — the adoption-time stale-schedule pruning set.
-  std::vector<char> departed_flags;
-  /// AHM feedback accumulators since the last submit (size n flags):
-  /// attempted = scheduled with demand; succeeded = served >= 1 packet.
-  std::vector<char> feedback_attempt;
-  std::vector<char> feedback_success;
+  std::vector<char> burst_state;  ///< traffic modulator (may be empty)
   /// History-dependent policy state (SchedulePolicy::persisted_state): the
   /// AHM probability vector; empty for max-weight. When a
   /// recompute is in flight this is the *pre-submit* state, so restore can
@@ -118,16 +150,6 @@ struct ServeSnapshot {
   std::vector<double> policy_state;
 
   RecomputeSnapshot recompute;
-
-  /// Exponential-backoff state: current delay and the first slot at which
-  /// the loop may submit again.
-  std::uint64_t backoff_slots = 0;
-  std::uint64_t cooldown_until = 0;
-
-  /// Armed fault-injector state that crosses slots: a pending delay:<extra>
-  /// that applies to the next submit, and whether the poison window is open.
-  std::uint64_t pending_extra_latency = 0;
-  bool poison_active = false;
 };
 
 /// Writes the text format. Throws coded_error{SnapshotIo} on stream failure

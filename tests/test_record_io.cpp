@@ -187,14 +187,14 @@ serve::ServeSnapshot golden_snapshot() {
   snap.health.poison_streak = 1;
   snap.health.clean_slots = 7;
   snap.health.overload_latch = true;
-  snap.arrivals_total = 1000;
-  snap.admitted_total = 990;
-  snap.served_total = 900;
-  snap.dropped_capacity = 4;
-  snap.dropped_shed = 3;
-  snap.dropped_churn = 2;
-  snap.dropped_quarantine = 1;
-  snap.stale_pruned = 9;
+  snap.arrivals = 1000;
+  snap.admitted = 990;
+  snap.served = 900;
+  snap.drops.capacity = 4;
+  snap.drops.shed = 3;
+  snap.drops.churn = 2;
+  snap.drops.quarantine = 1;
+  snap.drops.stale_pruned = 9;
   snap.recompute_timeouts = 5;
   snap.recompute_failures = 6;
   snap.recompute_adoptions = 70;
@@ -211,8 +211,8 @@ serve::ServeSnapshot golden_snapshot() {
   snap.recompute.in_flight = true;
   snap.recompute.submit_slot = 296;
   snap.recompute.latency_slots = 12;
-  snap.recompute.timed_out = false;
-  snap.recompute.poisoned = true;
+  snap.inflight_timed_out = false;
+  snap.inflight_poisoned = true;
   snap.recompute.weights = {50.0, 0.0, 1e-300};
   snap.recompute.departed = {1};
   snap.recompute.feedback_schedule = {0, 2};

@@ -394,14 +394,14 @@ ServeSnapshot sample_snapshot() {
   snap.health.state = HealthState::Degraded;
   snap.health.poison_streak = 1;
   snap.health.clean_slots = 7;
-  snap.arrivals_total = 1000;
-  snap.admitted_total = 990;
-  snap.served_total = 900;
-  snap.dropped_capacity = 4;
-  snap.dropped_shed = 3;
-  snap.dropped_churn = 2;
-  snap.dropped_quarantine = 1;
-  snap.stale_pruned = 9;
+  snap.arrivals = 1000;
+  snap.admitted = 990;
+  snap.served = 900;
+  snap.drops.capacity = 4;
+  snap.drops.shed = 3;
+  snap.drops.churn = 2;
+  snap.drops.quarantine = 1;
+  snap.drops.stale_pruned = 9;
   snap.recompute_timeouts = 5;
   snap.recompute_failures = 6;
   snap.recompute_adoptions = 70;
@@ -418,8 +418,8 @@ ServeSnapshot sample_snapshot() {
   snap.recompute.in_flight = true;
   snap.recompute.submit_slot = 1230;
   snap.recompute.latency_slots = 12;
-  snap.recompute.timed_out = true;
-  snap.recompute.poisoned = true;
+  snap.inflight_timed_out = true;
+  snap.inflight_poisoned = true;
   snap.recompute.weights = {50.0, 0.0, 10.0};
   snap.recompute.departed = {1};
   snap.recompute.feedback_schedule = {0, 2};
@@ -446,13 +446,13 @@ TEST(ServeSnapshot, RoundTripsEveryField) {
   EXPECT_EQ(back.health.state, snap.health.state);
   EXPECT_EQ(back.health.poison_streak, snap.health.poison_streak);
   EXPECT_EQ(back.health.clean_slots, snap.health.clean_slots);
-  EXPECT_EQ(back.arrivals_total, snap.arrivals_total);
-  EXPECT_EQ(back.served_total, snap.served_total);
-  EXPECT_EQ(back.dropped_capacity, snap.dropped_capacity);
-  EXPECT_EQ(back.dropped_shed, snap.dropped_shed);
-  EXPECT_EQ(back.dropped_churn, snap.dropped_churn);
-  EXPECT_EQ(back.dropped_quarantine, snap.dropped_quarantine);
-  EXPECT_EQ(back.stale_pruned, snap.stale_pruned);
+  EXPECT_EQ(back.arrivals, snap.arrivals);
+  EXPECT_EQ(back.served, snap.served);
+  EXPECT_EQ(back.drops.capacity, snap.drops.capacity);
+  EXPECT_EQ(back.drops.shed, snap.drops.shed);
+  EXPECT_EQ(back.drops.churn, snap.drops.churn);
+  EXPECT_EQ(back.drops.quarantine, snap.drops.quarantine);
+  EXPECT_EQ(back.drops.stale_pruned, snap.drops.stale_pruned);
   EXPECT_EQ(back.schedule_epoch, snap.schedule_epoch);
   EXPECT_EQ(back.schedule_stale, snap.schedule_stale);
   EXPECT_EQ(back.schedule, snap.schedule);
@@ -466,8 +466,8 @@ TEST(ServeSnapshot, RoundTripsEveryField) {
   EXPECT_TRUE(back.recompute.in_flight);
   EXPECT_EQ(back.recompute.submit_slot, snap.recompute.submit_slot);
   EXPECT_EQ(back.recompute.latency_slots, snap.recompute.latency_slots);
-  EXPECT_EQ(back.recompute.timed_out, snap.recompute.timed_out);
-  EXPECT_EQ(back.recompute.poisoned, snap.recompute.poisoned);
+  EXPECT_EQ(back.inflight_timed_out, snap.inflight_timed_out);
+  EXPECT_EQ(back.inflight_poisoned, snap.inflight_poisoned);
   EXPECT_EQ(back.recompute.weights, snap.recompute.weights);
   EXPECT_EQ(back.recompute.departed, snap.recompute.departed);
   EXPECT_EQ(back.recompute.feedback_schedule,

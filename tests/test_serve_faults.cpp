@@ -213,7 +213,7 @@ TEST(ServeFaults, PoisonedMidFlightKillRestoreReplaysBitIdentically) {
       const ServeSnapshot live = b.snapshot();
       ASSERT_TRUE(live.recompute.in_flight);
       ASSERT_EQ(live.recompute.submit_slot, 120u);
-      ASSERT_TRUE(live.recompute.poisoned);
+      ASSERT_TRUE(live.inflight_poisoned);
       ASSERT_EQ(live.recompute.weights.size(), serve_network().size());
       EXPECT_TRUE(std::all_of(live.recompute.weights.begin(),
                               live.recompute.weights.end(),
@@ -281,14 +281,14 @@ TEST(ServeFaults, RestoreThenSnapshotIsIdentity) {
     const ServeSnapshot snap = live.snapshot();
     ASSERT_TRUE(snap.recompute.in_flight);
     ASSERT_EQ(snap.recompute.submit_slot, 126u);
-    ASSERT_TRUE(snap.recompute.poisoned);
+    ASSERT_TRUE(snap.inflight_poisoned);
     ASSERT_EQ(snap.recompute.latency_slots, 5u);
     ASSERT_EQ(snap.pending_extra_latency, 2u);
     ASSERT_TRUE(snap.poison_active);
     ASSERT_FALSE(snap.burst_state.empty());
     ASSERT_FALSE(snap.policy_state.empty());
     ASSERT_FALSE(snap.schedule.empty());
-    ASSERT_GT(snap.dropped_churn, 0u);
+    ASSERT_GT(snap.drops.churn, 0u);
     ASSERT_GT(snap.recompute_timeouts, 0u);
     ASSERT_GT(snap.backoff_slots, 0u);
     ASSERT_EQ(snap.health.poison_streak, 1u);
