@@ -43,8 +43,8 @@ int main(int argc, char** argv) {
   util::Table table({"model", "p10", "p50", "p90", "p99", "mean"});
 
   sim::SampleSet first_success_nf, first_success_rl;
-  for (auto prop : {algorithms::Propagation::NonFading,
-                    algorithms::Propagation::Rayleigh}) {
+  for (auto prop : {core::Propagation::NonFading,
+                    core::Propagation::Rayleigh}) {
     sim::SampleSet completion;
     for (std::size_t net_idx = 0; net_idx < networks; ++net_idx) {
       util::RngStream net_rng = master.derive(net_idx, 0xA);
@@ -59,7 +59,7 @@ int main(int argc, char** argv) {
             algorithms::aloha_schedule(net, beta, prop, rng, {}, 300000);
         if (!result.completed) continue;
         completion.add(static_cast<double>(result.slots));
-        auto& fs = prop == algorithms::Propagation::Rayleigh
+        auto& fs = prop == core::Propagation::Rayleigh
                        ? first_success_rl
                        : first_success_nf;
         for (std::size_t slot : result.first_success_slot) {
@@ -67,7 +67,7 @@ int main(int argc, char** argv) {
         }
       }
     }
-    table.add_row({std::string(prop == algorithms::Propagation::Rayleigh
+    table.add_row({std::string(prop == core::Propagation::Rayleigh
                                    ? "rayleigh(4x)"
                                    : "non-fading"),
                    completion.quantile(0.10), completion.median(),

@@ -57,9 +57,9 @@ int main(int argc, char** argv) {
     util::RngStream r1 = master.derive(net_idx, 0xB);
     util::RngStream r2 = master.derive(net_idx, 0xC);
     const auto nf = algorithms::aloha_schedule(
-        net, beta, algorithms::Propagation::NonFading, r1);
+        net, beta, core::Propagation::NonFading, r1);
     const auto rl = algorithms::aloha_schedule(
-        net, beta, algorithms::Propagation::Rayleigh, r2);
+        net, beta, core::Propagation::Rayleigh, r2);
     if (nf.completed && rl.completed) {
       nf_slots.add(static_cast<double>(nf.slots));
       rl_slots.add(static_cast<double>(rl.slots));
@@ -70,9 +70,9 @@ int main(int argc, char** argv) {
     util::RngStream r3 = master.derive(net_idx, 0xD);
     util::RngStream r4 = master.derive(net_idx, 0xE);
     const auto rc_nf = algorithms::repeated_capacity_schedule(
-        net, beta, algorithms::Propagation::NonFading, r3);
+        net, beta, core::Propagation::NonFading, r3);
     const auto rc_rl = algorithms::repeated_capacity_schedule(
-        net, beta, algorithms::Propagation::Rayleigh, r4);
+        net, beta, core::Propagation::Rayleigh, r4);
     if (rc_nf.completed) rc_nf_slots.add(static_cast<double>(rc_nf.slots));
     if (rc_rl.completed) rc_rl_slots.add(static_cast<double>(rc_rl.slots));
   }
@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
   // ALOHA process (core/latency_exact) next to simulated means.
   std::cout << "\n# exact vs simulated ALOHA latency (n=6 subsample)\n";
   util::Table exact_table({"model", "exact_E[slots]", "simulated_mean"});
-  for (auto prop : {algorithms::Propagation::NonFading,
-                    algorithms::Propagation::Rayleigh}) {
+  for (auto prop : {core::Propagation::NonFading,
+                    core::Propagation::Rayleigh}) {
     sim::Accumulator sim_acc, exact_acc;
     for (std::size_t net_idx = 0; net_idx < std::min<std::size_t>(networks, 4);
          ++net_idx) {
@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
         if (r.completed) sim_acc.add(static_cast<double>(r.slots));
       }
     }
-    exact_table.add_row({std::string(prop == algorithms::Propagation::Rayleigh
+    exact_table.add_row({std::string(prop == core::Propagation::Rayleigh
                                          ? "rayleigh(4x)"
                                          : "non-fading"),
                          exact_acc.mean(), sim_acc.mean()});

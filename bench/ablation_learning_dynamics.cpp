@@ -46,9 +46,9 @@ int main(int argc, char** argv) {
                      "opt_lb"});
 
   for (auto model_kind :
-       {learning::GameModel::NonFading, learning::GameModel::Rayleigh}) {
+       {core::Propagation::NonFading, core::Propagation::Rayleigh}) {
     const std::string model_name =
-        model_kind == learning::GameModel::Rayleigh ? "rayleigh" : "non-fading";
+        model_kind == core::Propagation::Rayleigh ? "rayleigh" : "non-fading";
     sim::Accumulator rwm_late, exp3_late, rm_late, br_final, rwm_regret,
         exp3_regret, rm_regret, opt_acc;
     for (std::size_t net_idx = 0; net_idx < networks; ++net_idx) {

@@ -42,7 +42,7 @@ int main(int argc, char** argv) {
                      "opt_lb"});
 
   for (auto model_kind :
-       {learning::GameModel::NonFading, learning::GameModel::Rayleigh}) {
+       {core::Propagation::NonFading, core::Propagation::Rayleigh}) {
     sim::Accumulator x_acc, f_acc, regret_acc, opt_acc;
     bool lemma5_ok = true;
     for (std::size_t net_idx = 0; net_idx < networks; ++net_idx) {
@@ -83,7 +83,7 @@ int main(int argc, char** argv) {
       }
     }
     table.add_row(
-        {std::string(model_kind == learning::GameModel::Rayleigh
+        {std::string(model_kind == core::Propagation::Rayleigh
                          ? "rayleigh"
                          : "non-fading"),
          x_acc.mean(), f_acc.mean(), std::string(lemma5_ok ? "yes" : "NO"),

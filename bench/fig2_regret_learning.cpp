@@ -72,14 +72,14 @@ int main(int argc, char** argv) {
     opt_acc.add(static_cast<double>(opt.selected.size()));
 
     for (auto model_kind :
-         {learning::GameModel::NonFading, learning::GameModel::Rayleigh}) {
+         {core::Propagation::NonFading, core::Propagation::Rayleigh}) {
       learning::GameOptions opts;
       opts.rounds = rounds;
       opts.beta = beta;
       opts.model = model_kind;
       util::RngStream game_rng = master.derive(net_idx, 0xB)
                                     .derive(static_cast<std::uint64_t>(
-                                        model_kind == learning::GameModel::
+                                        model_kind == core::Propagation::
                                                           Rayleigh));
       const std::string& learner = flags.get_string("learner");
       require(learner == "rwm" || learner == "exp3" ||
@@ -97,7 +97,7 @@ int main(int argc, char** argv) {
             return std::make_unique<learning::RwmLearner>();
           },
           game_rng);
-      auto& series = model_kind == learning::GameModel::Rayleigh
+      auto& series = model_kind == core::Propagation::Rayleigh
                          ? rayleigh_series
                          : nonfading_series;
       series.add_row(result.successes_per_round);

@@ -36,10 +36,10 @@ int main(int argc, char** argv) {
   const double beta = flags.get_double("beta");
 
   util::Table table({"scheduler", "model", "slots", "completed"});
-  for (auto prop : {algorithms::Propagation::NonFading,
-                    algorithms::Propagation::Rayleigh}) {
+  for (auto prop : {core::Propagation::NonFading,
+                    core::Propagation::Rayleigh}) {
     const std::string model_name =
-        prop == algorithms::Propagation::Rayleigh ? "rayleigh" : "non-fading";
+        prop == core::Propagation::Rayleigh ? "rayleigh" : "non-fading";
     {
       util::RngStream r = rng.derive(1, static_cast<std::uint64_t>(prop));
       const auto result =
@@ -78,7 +78,7 @@ int main(int argc, char** argv) {
       {{0, 1, 2, 3, 4, 5}}, {{2, 3, 4, 5}}, {{0, 1, 2}}, {{4, 5}}};
   util::RngStream r = rng.derive(4);
   const auto mh = algorithms::schedule_multihop(
-      chain_net, requests, 2.0, algorithms::Propagation::Rayleigh, r);
+      chain_net, requests, 2.0, core::Propagation::Rayleigh, r);
   std::cout << "\nmulti-hop (6-hop chain, 4 requests, Rayleigh): "
             << mh.slots << " slots, completed=" << (mh.completed ? "yes" : "no")
             << "\n";

@@ -69,12 +69,12 @@ int main(int argc, char** argv) {
 
   const double beta = flags.get_double("beta");
   util::Table table({"model", "slots", "completed"});
-  for (auto prop : {algorithms::Propagation::NonFading,
-                    algorithms::Propagation::Rayleigh}) {
+  for (auto prop : {core::Propagation::NonFading,
+                    core::Propagation::Rayleigh}) {
     util::RngStream sched_rng = rng.derive(static_cast<std::uint64_t>(prop));
     const auto result = algorithms::schedule_multihop(
         routed.network, routed.requests, beta, prop, sched_rng);
-    table.add_row({std::string(prop == algorithms::Propagation::Rayleigh
+    table.add_row({std::string(prop == core::Propagation::Rayleigh
                                    ? "rayleigh (4x steps)"
                                    : "non-fading"),
                    static_cast<long long>(result.slots),

@@ -47,7 +47,7 @@ int main(int argc, char** argv) {
 
   const auto rounds = static_cast<std::size_t>(flags.get_int("rounds"));
   for (auto model_kind :
-       {learning::GameModel::NonFading, learning::GameModel::Rayleigh}) {
+       {core::Propagation::NonFading, core::Propagation::Rayleigh}) {
     learning::GameOptions opts;
     opts.rounds = rounds;
     opts.beta = beta;
@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
         net, opts, [] { return std::make_unique<learning::RwmLearner>(); },
         game_rng);
 
-    std::cout << (model_kind == learning::GameModel::Rayleigh ? "RAYLEIGH"
+    std::cout << (model_kind == core::Propagation::Rayleigh ? "RAYLEIGH"
                                                               : "NON-FADING")
               << " model\n";
     // Print the per-round trace in blocks of 10 (mean per block).

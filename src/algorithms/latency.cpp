@@ -20,11 +20,11 @@ namespace {
 
 /// Evaluates which members of `active` succeed in one slot.
 std::vector<char> slot_successes(const Network& net, const LinkSet& active,
-                                 double beta, Propagation propagation,
+                                 double beta, core::Propagation propagation,
                                  util::RngStream& rng) {
   std::vector<char> ok(active.size(), 0);
   if (active.empty()) return ok;
-  if (propagation == Propagation::NonFading) {
+  if (propagation == core::Propagation::NonFading) {
     for (std::size_t a = 0; a < active.size(); ++a) {
       ok[a] = model::sinr_nonfading(net, active, active[a]) >= beta ? 1 : 0;
     }
@@ -37,7 +37,7 @@ std::vector<char> slot_successes(const Network& net, const LinkSet& active,
 }  // namespace
 
 LatencyResult repeated_capacity_schedule(
-    const Network& net, double beta, Propagation propagation,
+    const Network& net, double beta, core::Propagation propagation,
     util::RngStream& rng, std::size_t max_slots,
     const std::function<LinkSet(const Network&, double, const LinkSet&)>&
         capacity_algorithm) {
@@ -59,7 +59,7 @@ LatencyResult repeated_capacity_schedule(
   for (LinkId i = 0; i < net.size(); ++i) {
     require(util::fp::exact_zero(net.noise()) ||
                 net.signal(i) / beta > net.noise() ||
-                propagation == Propagation::Rayleigh,
+                propagation == core::Propagation::Rayleigh,
             "repeated_capacity_schedule: link cannot reach beta even alone "
             "in the non-fading model");
   }
@@ -173,14 +173,14 @@ LatencyResult run_aloha(
 }  // namespace
 
 LatencyResult aloha_schedule(const Network& net, double beta,
-                             Propagation propagation, util::RngStream& rng,
-                             const AlohaOptions& options,
+                             core::Propagation propagation,
+                             util::RngStream& rng, const AlohaOptions& options,
                              std::size_t max_slots) {
   check_aloha_options("aloha_schedule", beta, options);
   // Section 4: in the Rayleigh model, each randomized step (one draw of the
   // transmit set) is executed kLatencyRepeats times with fresh fading.
   const int repeats =
-      propagation == Propagation::Rayleigh ? core::kLatencyRepeats : 1;
+      propagation == core::Propagation::Rayleigh ? core::kLatencyRepeats : 1;
   return run_aloha(net.size(), rng, options, repeats, max_slots,
                    [&](const LinkSet& active) {
                      return slot_successes(net, active, beta, propagation,

@@ -32,11 +32,6 @@
 
 namespace raysched::algorithms {
 
-/// Which propagation model decides transmission success. Defined with the
-/// Section-4 transformation in core/latency_transform.hpp; aliased here so
-/// existing algorithms::Propagation spellings keep working.
-using Propagation = core::Propagation;
-
 /// Outcome of a latency run.
 struct LatencyResult {
   /// Number of elementary time slots used until every link succeeded once
@@ -55,7 +50,7 @@ struct LatencyResult {
 /// `propagation` (Rayleigh uses `rng` for fading; each computed slot is
 /// transmitted once — the schedule itself adapts, re-serving failed links).
 [[nodiscard]] LatencyResult repeated_capacity_schedule(
-    const model::Network& net, double beta, Propagation propagation,
+    const model::Network& net, double beta, core::Propagation propagation,
     util::RngStream& rng, std::size_t max_slots = 100000,
     const std::function<model::LinkSet(const model::Network&, double,
                                        const model::LinkSet&)>&
@@ -78,7 +73,8 @@ struct AlohaOptions {
 /// step is repeated core::kLatencyRepeats times with fresh fading (the
 /// Section 4 transformation); slots counts elementary slots.
 [[nodiscard]] LatencyResult aloha_schedule(const model::Network& net,
-                                           double beta, Propagation propagation,
+                                           double beta,
+                                           core::Propagation propagation,
                                            util::RngStream& rng,
                                            const AlohaOptions& options = {},
                                            std::size_t max_slots = 100000);

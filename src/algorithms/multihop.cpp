@@ -15,7 +15,7 @@ using model::Network;
 
 MultihopResult schedule_multihop(const Network& net,
                                  const std::vector<MultihopRequest>& requests,
-                                 double beta, Propagation propagation,
+                                 double beta, core::Propagation propagation,
                                  util::RngStream& rng, std::size_t max_slots) {
   require(beta > 0.0, "schedule_multihop: beta must be positive");
   require(!requests.empty(), "schedule_multihop: no requests");
@@ -33,7 +33,7 @@ MultihopResult schedule_multihop(const Network& net,
   std::vector<char> won;  // Rayleigh decisions of the slot's set
 
   const int repeats =
-      propagation == Propagation::Rayleigh ? core::kLatencyRepeats : 1;
+      propagation == core::Propagation::Rayleigh ? core::kLatencyRepeats : 1;
 
   while (incomplete > 0 && result.slots < max_slots) {
     // Frontier: the next hop of every unfinished request. Several requests
@@ -50,7 +50,7 @@ MultihopResult schedule_multihop(const Network& net,
 
     std::vector<bool> delivered(net.size(), false);
     for (int r = 0; r < repeats && result.slots < max_slots; ++r) {
-      if (propagation == Propagation::NonFading) {
+      if (propagation == core::Propagation::NonFading) {
         for (LinkId i : slot) {
           if (model::sinr_nonfading(net, slot, i) >= beta) delivered[i] = true;
         }

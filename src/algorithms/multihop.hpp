@@ -12,6 +12,7 @@
 #include <vector>
 
 #include "algorithms/latency.hpp"
+#include "core/latency_transform.hpp"
 #include "model/network.hpp"
 #include "util/rng.hpp"
 
@@ -37,7 +38,7 @@ struct MultihopResult {
 /// recomputation, mirroring the single-hop transformation).
 [[nodiscard]] MultihopResult schedule_multihop(
     const model::Network& net, const std::vector<MultihopRequest>& requests,
-    double beta, Propagation propagation, util::RngStream& rng,
+    double beta, core::Propagation propagation, util::RngStream& rng,
     std::size_t max_slots = 100000);
 
 }  // namespace raysched::algorithms

@@ -1,5 +1,6 @@
 #include "learning/best_response.hpp"
 
+#include "core/latency_transform.hpp"
 #include "model/rayleigh.hpp"
 #include "model/sinr.hpp"
 #include "util/error.hpp"
@@ -23,13 +24,13 @@ LinkSet profile_to_set(const std::vector<bool>& sending) {
 /// Expected reward of link i sending against the other senders in
 /// `sending` (i's own entry is ignored).
 double send_reward(const Network& net, const std::vector<bool>& sending,
-                   LinkId i, GameModel model, double beta) {
+                   LinkId i, core::Propagation model, double beta) {
   LinkSet active;
   for (LinkId j = 0; j < sending.size(); ++j) {
     if (j != i && sending[j]) active.push_back(j);
   }
   active.push_back(i);
-  if (model == GameModel::NonFading) {
+  if (model == core::Propagation::NonFading) {
     return model::sinr_nonfading(net, active, i) >= beta ? 1.0 : -1.0;
   }
   return 2.0 * model::success_probability_rayleigh(
@@ -41,7 +42,7 @@ double send_reward(const Network& net, const std::vector<bool>& sending,
 }  // namespace
 
 bool is_pure_nash(const Network& net, const std::vector<bool>& sending,
-                  GameModel model, double beta) {
+                  core::Propagation model, double beta) {
   require(sending.size() == net.size(), "is_pure_nash: profile size mismatch");
   require(beta > 0.0, "is_pure_nash: beta must be positive");
   for (LinkId i = 0; i < net.size(); ++i) {
@@ -81,7 +82,7 @@ BestResponseResult run_best_response(const Network& net,
   }
 
   const LinkSet active = profile_to_set(result.sending);
-  if (options.model == GameModel::NonFading) {
+  if (options.model == core::Propagation::NonFading) {
     result.final_successes =
         static_cast<double>(model::count_successes_nonfading(
             net, active, units::Threshold(options.beta)));

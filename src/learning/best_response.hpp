@@ -15,6 +15,7 @@
 
 #include <vector>
 
+#include "core/latency_transform.hpp"
 #include "learning/capacity_game.hpp"
 #include "model/network.hpp"
 
@@ -22,7 +23,7 @@ namespace raysched::learning {
 
 struct BestResponseOptions {
   std::size_t max_rounds = 1000;  ///< full round-robin sweeps
-  GameModel model = GameModel::NonFading;
+  core::Propagation model = core::Propagation::NonFading;
   double beta = 1.0;
   /// Start state: if true every link starts sending, otherwise nobody does.
   bool start_all_sending = false;
@@ -47,6 +48,6 @@ struct BestResponseResult {
 /// under the given model (no link gains by switching its action).
 [[nodiscard]] bool is_pure_nash(const model::Network& net,
                                 const std::vector<bool>& sending,
-                                GameModel model, double beta);
+                                core::Propagation model, double beta);
 
 }  // namespace raysched::learning

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "core/latency_transform.hpp"
 #include "model/rayleigh.hpp"
 #include "model/sinr.hpp"
 #include "util/error.hpp"
@@ -59,7 +60,7 @@ GameResult run_capacity_game(const Network& net, const GameOptions& options,
     // non-senders it is the counterfactual with i added (the other senders'
     // outcomes are unchanged because gains are independent per receiver).
     std::vector<char>& success_if_sent = success_scratch;
-    if (options.model == GameModel::NonFading) {
+    if (options.model == core::Propagation::NonFading) {
       for (LinkId i = 0; i < n; ++i) {
         if (actions[i] == Action::Send) {
           success_if_sent[i] =
@@ -89,7 +90,7 @@ GameResult run_capacity_game(const Network& net, const GameOptions& options,
 
     // Expected successes for the realized active set (Lemma 5's X): exact
     // closed form under Rayleigh, deterministic count under non-fading.
-    if (options.model == GameModel::Rayleigh) {
+    if (options.model == core::Propagation::Rayleigh) {
       result.average_expected_successes += model::expected_successes_rayleigh(
           net, active, units::Threshold(options.beta));
     } else {

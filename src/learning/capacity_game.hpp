@@ -21,19 +21,16 @@
 #include <memory>
 #include <vector>
 
+#include "core/latency_transform.hpp"
 #include "learning/no_regret.hpp"
 #include "model/network.hpp"
 #include "util/rng.hpp"
 
 namespace raysched::learning {
 
-/// Propagation model for the game (mirrors algorithms::Propagation but kept
-/// separate so learning/ does not depend on algorithms/).
-enum class GameModel { NonFading, Rayleigh };
-
 struct GameOptions {
   std::size_t rounds = 200;
-  GameModel model = GameModel::NonFading;
+  core::Propagation model = core::Propagation::NonFading;
   double beta = 0.5;  ///< global SINR threshold of the binary utility
 };
 

@@ -77,7 +77,7 @@ FictitiousPlayResult run_fictitious_play(const Network& net,
         freq[i] = units::Probability(static_cast<double>(send_count[i]) /
                                      static_cast<double>(t));
       }
-      if (options.model == GameModel::Rayleigh) {
+      if (options.model == core::Propagation::Rayleigh) {
         // Reward of sending is 2 * P[success | i sends] - 1: Theorem 1 at
         // freq with freq[i] read as 1, for every link in one O(n^2) pass.
         core::rayleigh_conditional_success_probabilities(
@@ -102,7 +102,7 @@ FictitiousPlayResult run_fictitious_play(const Network& net,
     }
 
     double successes = 0.0;
-    if (options.model == GameModel::NonFading) {
+    if (options.model == core::Propagation::NonFading) {
       successes = static_cast<double>(
           model::count_successes_nonfading(net, active,
                                            units::Threshold(options.beta)));

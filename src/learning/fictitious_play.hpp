@@ -18,6 +18,7 @@
 #include <cstddef>
 #include <vector>
 
+#include "core/latency_transform.hpp"
 #include "learning/capacity_game.hpp"
 #include "model/network.hpp"
 #include "util/rng.hpp"
@@ -27,7 +28,7 @@ namespace raysched::learning {
 
 struct FictitiousPlayOptions {
   std::size_t rounds = 300;
-  GameModel model = GameModel::Rayleigh;
+  core::Propagation model = core::Propagation::Rayleigh;
   double beta = 2.5;
   /// Initial rounds in which every link plays uniformly at random (seeds
   /// the empirical frequencies).

@@ -121,7 +121,7 @@ TEST(BlockFadingAloha, CoherenceOneStatisticallyMatchesIidAloha) {
     const auto block = raysched::algorithms::aloha_schedule_block_fading(
         net, 2.5, channel, r1);
     const auto iid = raysched::algorithms::aloha_schedule(
-        net, 2.5, raysched::algorithms::Propagation::Rayleigh, r2);
+        net, 2.5, raysched::core::Propagation::Rayleigh, r2);
     ASSERT_TRUE(block.completed && iid.completed);
     block_acc.add(static_cast<double>(block.slots));
     iid_acc.add(static_cast<double>(iid.slots));

@@ -56,7 +56,7 @@ TEST(DynamicsDeep, BestResponseMatchesGameExtremes) {
   auto net = paper_network(12, 3);
   BestResponseOptions quiet;
   quiet.beta = 1e6;
-  quiet.model = GameModel::NonFading;
+  quiet.model = core::Propagation::NonFading;
   quiet.start_all_sending = true;
   const auto q = run_best_response(net, quiet);
   EXPECT_TRUE(q.converged);
@@ -64,7 +64,7 @@ TEST(DynamicsDeep, BestResponseMatchesGameExtremes) {
 
   BestResponseOptions loud;
   loud.beta = 1e-9;
-  loud.model = GameModel::NonFading;
+  loud.model = core::Propagation::NonFading;
   const auto l = run_best_response(net, loud);
   EXPECT_TRUE(l.converged);
   EXPECT_EQ(std::count(l.sending.begin(), l.sending.end(), true), 12);
@@ -125,7 +125,7 @@ TEST(DynamicsDeep, FictitiousPlayAgreesWithBestResponseOnStrictInstances) {
   const auto fixed = run_best_response(net, br);
   ASSERT_TRUE(fixed.converged);
   FictitiousPlayOptions fp;
-  fp.model = GameModel::NonFading;
+  fp.model = core::Propagation::NonFading;
   fp.beta = 2.0;
   fp.rounds = 150;
   util::RngStream rng(5);
@@ -144,7 +144,7 @@ TEST(DynamicsDeep, SuccessesNeverExceedTransmittersAndRegretBounded) {
   GameOptions opts;
   opts.rounds = 500;
   opts.beta = 2.5;
-  opts.model = GameModel::Rayleigh;
+  opts.model = core::Propagation::Rayleigh;
   util::RngStream rng(6);
   const auto result = run_capacity_game(
       net, opts, [] { return std::make_unique<Exp3Learner>(); }, rng);
@@ -166,7 +166,7 @@ TEST(DynamicsDeep, ExpectedSuccessesConsistentWithRealized) {
   GameOptions opts;
   opts.rounds = 1500;
   opts.beta = 2.5;
-  opts.model = GameModel::Rayleigh;
+  opts.model = core::Propagation::Rayleigh;
   util::RngStream rng(7);
   const auto result = run_capacity_game(
       net, opts, [] { return std::make_unique<RwmLearner>(); }, rng);

@@ -57,7 +57,7 @@ TEST(EdgeSingleLink, LatencyOneSlotNonFading) {
   auto net = single_link_network(0.25);
   util::RngStream rng(1);
   const auto result = algorithms::repeated_capacity_schedule(
-      net, 3.0, algorithms::Propagation::NonFading, rng);
+      net, 3.0, core::Propagation::NonFading, rng);
   EXPECT_TRUE(result.completed);
   EXPECT_EQ(result.slots, 1u);
 }

@@ -76,9 +76,9 @@ TEST(Integration, LatencyTransferPipeline) {
   const double beta = 2.5;
   util::RngStream rng_nf(1), rng_r(2);
   const auto nf = algorithms::aloha_schedule(
-      net, beta, algorithms::Propagation::NonFading, rng_nf);
+      net, beta, core::Propagation::NonFading, rng_nf);
   const auto rl = algorithms::aloha_schedule(
-      net, beta, algorithms::Propagation::Rayleigh, rng_r);
+      net, beta, core::Propagation::Rayleigh, rng_r);
   ASSERT_TRUE(nf.completed);
   ASSERT_TRUE(rl.completed);
   // Generous statistical bound: Rayleigh latency within ~20x of non-fading
@@ -97,8 +97,8 @@ TEST(Integration, RegretLearningReachesConstantFractionOfOpt) {
   learning::GameOptions opts;
   opts.rounds = 1200;
   opts.beta = beta;
-  for (auto model : {learning::GameModel::NonFading,
-                     learning::GameModel::Rayleigh}) {
+  for (auto model : {core::Propagation::NonFading,
+                     core::Propagation::Rayleigh}) {
     opts.model = model;
     util::RngStream rng(3);
     const auto result = learning::run_capacity_game(

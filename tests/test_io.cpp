@@ -255,7 +255,7 @@ TEST(LatencyBounds, SandwichSimulatedAlohaLatency) {
   for (std::uint64_t s = 0; s < 60; ++s) {
     util::RngStream rng(1000 + s);
     const auto result = raysched::algorithms::aloha_schedule(
-        net, beta, raysched::algorithms::Propagation::Rayleigh, rng);
+        net, beta, raysched::core::Propagation::Rayleigh, rng);
     ASSERT_TRUE(result.completed);
     sim_latency.add(static_cast<double>(result.slots));
   }

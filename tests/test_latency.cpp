@@ -8,6 +8,7 @@
 namespace raysched::algorithms {
 namespace {
 
+using core::Propagation;
 using model::LinkId;
 using model::LinkSet;
 using raysched::testing::paper_network;

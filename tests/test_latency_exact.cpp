@@ -9,7 +9,6 @@
 namespace raysched::core {
 namespace {
 
-using algorithms::Propagation;
 using raysched::testing::paper_network;
 using raysched::testing::two_far_links;
 

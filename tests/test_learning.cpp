@@ -162,7 +162,8 @@ TEST(CapacityGame, RegretPerRoundShrinks) {
 TEST(CapacityGame, Lemma5InequalityObserved) {
   // X <= F <= 2X + eps*n with eps ~ max per-round regret. Use the realized
   // averages as estimators.
-  for (auto model : {GameModel::NonFading, GameModel::Rayleigh}) {
+  for (auto model :
+       {core::Propagation::NonFading, core::Propagation::Rayleigh}) {
     auto net = paper_network(15, 4);
     GameOptions opts;
     opts.rounds = 1500;
@@ -188,7 +189,7 @@ TEST(CapacityGame, RayleighRunsAndStaysBounded) {
   auto net = paper_network(10, 5);
   GameOptions opts;
   opts.rounds = 100;
-  opts.model = GameModel::Rayleigh;
+  opts.model = core::Propagation::Rayleigh;
   opts.beta = 2.5;
   util::RngStream rng(5);
   const auto result = run_capacity_game(

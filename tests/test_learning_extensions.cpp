@@ -124,7 +124,8 @@ TEST(BestResponse, FarLinksConvergeToAllSending) {
   EXPECT_TRUE(result.sending[0]);
   EXPECT_TRUE(result.sending[1]);
   EXPECT_DOUBLE_EQ(result.final_successes, 2.0);
-  EXPECT_TRUE(is_pure_nash(net, result.sending, GameModel::NonFading, 2.0));
+  EXPECT_TRUE(
+      is_pure_nash(net, result.sending, core::Propagation::NonFading, 2.0));
 }
 
 TEST(BestResponse, CloseLinksSettleOnOne) {
@@ -147,7 +148,7 @@ TEST(BestResponse, ConvergedProfileIsNashNonFading) {
     const auto result = run_best_response(net, opts);
     if (result.converged) {
       EXPECT_TRUE(
-          is_pure_nash(net, result.sending, GameModel::NonFading, 2.5))
+          is_pure_nash(net, result.sending, core::Propagation::NonFading, 2.5))
           << "seed " << seed;
     }
   }
@@ -161,7 +162,7 @@ TEST(BestResponse, RayleighUsesExpectedReward) {
   model::Network net(1, gains, units::Power(/*noise=*/1.0));
   // P[success] = exp(-beta * 1 / 1); for beta = 1 that is e^-1 < 1/2.
   BestResponseOptions opts;
-  opts.model = GameModel::Rayleigh;
+  opts.model = core::Propagation::Rayleigh;
   opts.beta = 1.0;
   opts.start_all_sending = true;
   const auto result = run_best_response(net, opts);
@@ -185,10 +186,12 @@ TEST(BestResponse, StartStateCanMatter) {
   const auto a = run_best_response(net, from_none);
   const auto b = run_best_response(net, from_all);
   if (a.converged) {
-    EXPECT_TRUE(is_pure_nash(net, a.sending, GameModel::NonFading, 2.5));
+    EXPECT_TRUE(
+        is_pure_nash(net, a.sending, core::Propagation::NonFading, 2.5));
   }
   if (b.converged) {
-    EXPECT_TRUE(is_pure_nash(net, b.sending, GameModel::NonFading, 2.5));
+    EXPECT_TRUE(
+        is_pure_nash(net, b.sending, core::Propagation::NonFading, 2.5));
   }
 }
 
@@ -197,7 +200,7 @@ TEST(BestResponse, ValidatesInput) {
   BestResponseOptions bad;
   bad.beta = 0.0;
   EXPECT_THROW(run_best_response(net, bad), raysched::error);
-  EXPECT_THROW(is_pure_nash(net, {true}, GameModel::NonFading, 1.0),
+  EXPECT_THROW(is_pure_nash(net, {true}, core::Propagation::NonFading, 1.0),
                raysched::error);
 }
 

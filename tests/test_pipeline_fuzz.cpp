@@ -90,8 +90,8 @@ TEST_P(PipelineFuzz, FullStackInvariants) {
   learning::GameOptions gopts;
   gopts.rounds = 30;
   gopts.beta = beta;
-  gopts.model = rng.bernoulli(0.5) ? learning::GameModel::Rayleigh
-                                   : learning::GameModel::NonFading;
+  gopts.model = rng.bernoulli(0.5) ? core::Propagation::Rayleigh
+                                   : core::Propagation::NonFading;
   util::RngStream game_rng = rng.derive(2);
   const auto game = learning::run_capacity_game(
       net, gopts, [] { return std::make_unique<learning::RwmLearner>(); },
@@ -128,7 +128,7 @@ TEST_P(PipelineFuzz, FullStackInvariants) {
   if (all_can) {
     util::RngStream lrng = rng.derive(4);
     const auto latency = algorithms::repeated_capacity_schedule(
-        net, beta, algorithms::Propagation::NonFading, lrng);
+        net, beta, core::Propagation::NonFading, lrng);
     ASSERT_TRUE(latency.completed);
     ASSERT_LE(latency.slots, 4 * n);  // each slot serves >= 1 link
   }

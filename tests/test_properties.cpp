@@ -185,7 +185,7 @@ TEST_P(LatencyInvariants, RepeatedCapacityServesEveryoneNonFading) {
   }
   util::RngStream rng(c.seed);
   const auto result = algorithms::repeated_capacity_schedule(
-      net, c.beta, algorithms::Propagation::NonFading, rng);
+      net, c.beta, core::Propagation::NonFading, rng);
   ASSERT_TRUE(result.completed);
   std::vector<bool> served(net.size(), false);
   for (std::size_t s = 0; s < result.schedule.size(); ++s) {
@@ -200,7 +200,7 @@ TEST_P(LatencyInvariants, FirstSuccessSlotWithinBounds) {
   const auto net = make_instance(c);
   util::RngStream rng(c.seed ^ 0xFACE);
   const auto result = algorithms::aloha_schedule(
-      net, c.beta, algorithms::Propagation::Rayleigh, rng, {}, 300000);
+      net, c.beta, core::Propagation::Rayleigh, rng, {}, 300000);
   if (!result.completed) GTEST_SKIP() << "did not complete in cap";
   for (LinkId i = 0; i < net.size(); ++i) {
     EXPECT_LT(result.first_success_slot[i], result.slots);

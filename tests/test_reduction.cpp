@@ -99,7 +99,7 @@ using raysched::testing::two_far_links;
 TEST(FictitiousPlay, FarLinksConvergeToBothSending) {
   auto net = two_far_links(1e-6);
   FictitiousPlayOptions opts;
-  opts.model = GameModel::NonFading;
+  opts.model = core::Propagation::NonFading;
   opts.beta = 2.0;
   opts.rounds = 120;
   util::RngStream rng(1);
@@ -114,7 +114,7 @@ TEST(FictitiousPlay, FarLinksConvergeToBothSending) {
 TEST(FictitiousPlay, CloseLinksDoNotBothSend) {
   auto net = two_close_links(1e-6);
   FictitiousPlayOptions opts;
-  opts.model = GameModel::NonFading;
+  opts.model = core::Propagation::NonFading;
   opts.beta = 2.0;
   opts.rounds = 200;
   util::RngStream rng(2);
@@ -125,7 +125,7 @@ TEST(FictitiousPlay, CloseLinksDoNotBothSend) {
 TEST(FictitiousPlay, RayleighUsesClosedFormAndRuns) {
   auto net = paper_network(15, 6);
   FictitiousPlayOptions opts;
-  opts.model = GameModel::Rayleigh;
+  opts.model = core::Propagation::Rayleigh;
   opts.beta = 2.5;
   opts.rounds = 100;
   util::RngStream rng(3);
@@ -144,7 +144,7 @@ TEST(FictitiousPlay, ReachesConstantFractionOfOptOnSmallInstance) {
   const auto opt = algorithms::exact_max_feasible_set(net, 2.5, 14);
   ASSERT_GT(opt.selected.size(), 0u);
   FictitiousPlayOptions opts;
-  opts.model = GameModel::NonFading;
+  opts.model = core::Propagation::NonFading;
   opts.beta = 2.5;
   opts.rounds = 200;
   util::RngStream rng(4);
@@ -158,7 +158,7 @@ TEST(FictitiousPlay, ReachesConstantFractionOfOptOnSmallInstance) {
 TEST(FictitiousPlay, FixedPointIsNashWhenReported) {
   auto net = paper_network(12, 8);
   FictitiousPlayOptions opts;
-  opts.model = GameModel::NonFading;
+  opts.model = core::Propagation::NonFading;
   opts.beta = 2.5;
   opts.rounds = 300;
   util::RngStream rng(5);
@@ -167,8 +167,8 @@ TEST(FictitiousPlay, FixedPointIsNashWhenReported) {
     // A stable pure profile that best-responds to its own frequencies
     // (which converge to the profile itself) should be a pure Nash
     // equilibrium of the one-shot game.
-    EXPECT_TRUE(
-        is_pure_nash(net, result.final_profile, GameModel::NonFading, 2.5));
+    EXPECT_TRUE(is_pure_nash(net, result.final_profile,
+                             core::Propagation::NonFading, 2.5));
   }
 }
 

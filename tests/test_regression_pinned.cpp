@@ -113,7 +113,7 @@ TEST(Pinned, GameRunFullyDeterministicGivenSeed) {
   learning::GameOptions opts;
   opts.rounds = 40;
   opts.beta = 2.5;
-  opts.model = learning::GameModel::Rayleigh;
+  opts.model = core::Propagation::Rayleigh;
   util::RngStream r1(77), r2(77);
   const auto a = learning::run_capacity_game(
       net, opts, [] { return std::make_unique<learning::RwmLearner>(); }, r1);
@@ -141,9 +141,9 @@ TEST(Pinned, AlohaScheduleDeterministicGivenSeed) {
   auto net = paper_network(10, 13);
   util::RngStream r1(5), r2(5);
   const auto a = algorithms::aloha_schedule(
-      net, 2.5, algorithms::Propagation::Rayleigh, r1);
+      net, 2.5, core::Propagation::Rayleigh, r1);
   const auto b = algorithms::aloha_schedule(
-      net, 2.5, algorithms::Propagation::Rayleigh, r2);
+      net, 2.5, core::Propagation::Rayleigh, r2);
   EXPECT_EQ(a.slots, b.slots);
   EXPECT_EQ(a.schedule, b.schedule);
   EXPECT_EQ(a.first_success_slot, b.first_success_slot);

@@ -6,6 +6,7 @@
 namespace raysched::algorithms {
 namespace {
 
+using core::Propagation;
 using model::Point;
 
 std::vector<Point> line_relays(std::size_t count, double spacing) {

@@ -168,8 +168,8 @@ int cmd_latency(int argc, char** argv) {
   }
   const auto net = model::load_network(flags.get_string("in"));
   const auto prop = flags.get_string("model") == "nonfading"
-                        ? algorithms::Propagation::NonFading
-                        : algorithms::Propagation::Rayleigh;
+                        ? core::Propagation::NonFading
+                        : core::Propagation::Rayleigh;
   require(flags.get_string("model") == "nonfading" ||
               flags.get_string("model") == "rayleigh",
           "latency: unknown --model " + flags.get_string("model"));
