@@ -121,78 +121,32 @@ std::optional<AttemptFault> validate_row(const RunContext& ctx,
   return std::nullopt;
 }
 
-/// Builds the instance for `net_idx`, honoring the fault policy. Returns
-/// nullopt if every attempt failed (a factory CellFailure was recorded).
-std::optional<model::Network> build_instance(const RunContext& ctx,
-                                             std::size_t net_idx,
-                                             NetworkOutcome& outcome) {
-  const FaultPolicy policy = ctx.config.fault_policy;
-  const std::size_t attempts =
-      policy == FaultPolicy::RetryThenSkip ? ctx.config.max_retries + 1 : 1;
-  std::optional<CellFailure> first_failure;
-  for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
-    util::RngStream rng = ctx.master.derive(net_idx, kInstanceStreamTag);
-    if (attempt > 0) rng = rng.derive(kRetryStreamTag + attempt);
-    std::optional<AttemptFault> fault;
-    try {
-      CellScope scope(net_idx, kNoTrial, attempt);
-      return ctx.make_instance(rng);
-    } catch (const std::exception& e) {
-      if (policy == FaultPolicy::Abort) throw;
-      fault = AttemptFault{FailureKind::Exception, e.what()};
-    } catch (...) {
-      if (policy == FaultPolicy::Abort) throw;
-      fault = AttemptFault{FailureKind::Exception, "unknown exception"};
-    }
-    if (!first_failure) {
-      first_failure = make_failure(ctx, net_idx, kNoTrial, attempt, *fault);
-    }
-    if (attempt + 1 < attempts) ++outcome.retries_used;
-  }
-  outcome.failures.push_back(std::move(*first_failure));
-  // None of the network's cells can run; account for them as skipped so the
-  // sweep-level bookkeeping still adds up to networks x trials.
-  outcome.cells_skipped += ctx.config.trials_per_network;
-  return std::nullopt;
-}
-
-/// Evaluates one (network, trial) cell, honoring the fault policy. Returns
-/// nullopt when the cell was abandoned (a CellFailure was recorded).
+/// The attempt loop shared by instances and cells: one attempt, or
+/// max_retries + 1 under RetryThenSkip, the first on `stream` and each retry
+/// on it re-derived by the retry tag. `attempt_once(rng, fault)` returns the
+/// result, or nullopt with `fault` set; a throw is an Exception fault. Under
+/// Abort a fault propagates; otherwise, once every attempt failed, the first
+/// failure is recorded and nullopt returned. The body is a template
+/// parameter, not a std::function: this runs once per cell.
 // raysched:hot
-std::optional<std::vector<double>> evaluate_cell(const RunContext& ctx,
-                                                 const model::Network& net,
-                                                 std::size_t net_idx,
-                                                 std::size_t trial_idx,
-                                                 NetworkOutcome& outcome) {
+template <class Result, class Attempt>
+std::optional<Result> run_attempts(const RunContext& ctx,
+                                   const util::RngStream& stream,
+                                   std::size_t net_idx, std::size_t trial_idx,
+                                   NetworkOutcome& outcome,
+                                   Attempt&& attempt_once) {
   const FaultPolicy policy = ctx.config.fault_policy;
   const std::size_t attempts =
       policy == FaultPolicy::RetryThenSkip ? ctx.config.max_retries + 1 : 1;
   std::optional<CellFailure> first_failure;
   for (std::size_t attempt = 0; attempt < attempts; ++attempt) {
     util::RngStream rng =
-        ctx.master.derive(net_idx, kTrialStreamTag).derive(trial_idx);
-    if (attempt > 0) rng = rng.derive(kRetryStreamTag + attempt);
+        attempt == 0 ? stream : stream.derive(kRetryStreamTag + attempt);
     std::optional<AttemptFault> fault;
-    const auto cell_start = std::chrono::steady_clock::now();
     try {
       CellScope scope(net_idx, trial_idx, attempt);
-      // The trial function owns its metric row; one short vector per cell is
-      // the handoff contract, not a hot-loop leak.
-      std::vector<double> row = ctx.run_trial(net, rng);  // raysched-check: allow(RS-M4): per-cell metric row, trial owns allocation
-      fault = validate_row(ctx, row);
-      if (!fault && ctx.config.cell_time_limit > 0.0) {
-        const double took =
-            std::chrono::duration<double>(std::chrono::steady_clock::now() -
-                                          cell_start)
-                .count();
-        if (took > ctx.config.cell_time_limit) {
-          std::ostringstream os;
-          os << "run_experiment: cell took " << took << "s (limit "
-             << ctx.config.cell_time_limit << "s)";
-          fault = AttemptFault{FailureKind::Timeout, os.str()};
-        }
-      }
-      if (!fault) return row;
+      std::optional<Result> result = attempt_once(rng, fault);
+      if (result) return result;
     } catch (const std::exception& e) {
       if (policy == FaultPolicy::Abort) throw;
       fault = AttemptFault{FailureKind::Exception, e.what()};
@@ -207,8 +161,62 @@ std::optional<std::vector<double>> evaluate_cell(const RunContext& ctx,
     if (attempt + 1 < attempts) ++outcome.retries_used;
   }
   outcome.failures.push_back(std::move(*first_failure));
-  ++outcome.cells_skipped;
   return std::nullopt;
+}
+
+/// Builds the instance for `net_idx`, honoring the fault policy. Returns
+/// nullopt if every attempt failed (a factory CellFailure was recorded).
+std::optional<model::Network> build_instance(const RunContext& ctx,
+                                             std::size_t net_idx,
+                                             NetworkOutcome& outcome) {
+  std::optional<model::Network> net = run_attempts<model::Network>(
+      ctx, ctx.master.derive(net_idx, kInstanceStreamTag), net_idx, kNoTrial,
+      outcome, [&ctx](util::RngStream& rng, std::optional<AttemptFault>&) {
+        return std::optional<model::Network>(ctx.make_instance(rng));
+      });
+  // None of the network's cells can run; account for them as skipped so the
+  // sweep-level bookkeeping still adds up to networks x trials.
+  if (!net) outcome.cells_skipped += ctx.config.trials_per_network;
+  return net;
+}
+
+/// Evaluates one (network, trial) cell, honoring the fault policy. Returns
+/// nullopt when the cell was abandoned (a CellFailure was recorded).
+// raysched:hot
+std::optional<std::vector<double>> evaluate_cell(const RunContext& ctx,
+                                                 const model::Network& net,
+                                                 std::size_t net_idx,
+                                                 std::size_t trial_idx,
+                                                 NetworkOutcome& outcome) {
+  std::optional<std::vector<double>> result =
+      run_attempts<std::vector<double>>(
+          ctx, ctx.master.derive(net_idx, kTrialStreamTag).derive(trial_idx),
+          net_idx, trial_idx, outcome,
+          [&ctx, &net](util::RngStream& rng,
+                       std::optional<AttemptFault>& fault)
+              -> std::optional<std::vector<double>> {
+            const auto cell_start = std::chrono::steady_clock::now();
+            // The trial function owns its metric row; one short vector per
+            // cell is the handoff contract, not a hot-loop leak.
+            std::vector<double> row = ctx.run_trial(net, rng);  // raysched-check: allow(RS-M4): per-cell metric row, trial owns allocation
+            fault = validate_row(ctx, row);
+            if (!fault && ctx.config.cell_time_limit > 0.0) {
+              const double took = std::chrono::duration<double>(
+                                      std::chrono::steady_clock::now() -
+                                      cell_start)
+                                      .count();
+              if (took > ctx.config.cell_time_limit) {
+                std::ostringstream os;
+                os << "run_experiment: cell took " << took << "s (limit "
+                   << ctx.config.cell_time_limit << "s)";
+                fault = AttemptFault{FailureKind::Timeout, os.str()};
+              }
+            }
+            if (fault) return std::nullopt;
+            return row;
+          });
+  if (!result) ++outcome.cells_skipped;
+  return result;
 }
 
 /// Processes one network end to end. outcome.done stays false if the sweep
