@@ -842,6 +842,24 @@ TEST(ServeFaults, RestoreRejectsScheduleIdOutOfRange) {
   expect_restore_refused(bad, good);
 }
 
+TEST(ServeFaults, RestoreRejectsBurstStateOfWrongSize) {
+  const ServeSnapshot good = snapshot_after_40_slots();
+  ASSERT_TRUE(good.burst_state.empty());  // Poisson keeps no burst state
+  ServeSnapshot bad = good;
+  bad.burst_state.assign(good.num_links, 0);
+  expect_restore_refused(bad, good);
+}
+
+TEST(ServeFaults, RestoreRejectsPolicyStateBeforeChangingState) {
+  // The policy validates its state last among the checks; a refusal there
+  // must still leave the service fresh.
+  const ServeSnapshot good = snapshot_after_40_slots();
+  ASSERT_TRUE(good.policy_state.empty());  // max-weight persists nothing
+  ServeSnapshot bad = good;
+  bad.policy_state = {0.5};
+  expect_restore_refused(bad, good);
+}
+
 TEST(ServeFaults, RunResumesAcrossCalls) {
   // Two run() segments must equal one long run: next_slot is the complete
   // loop position.
