@@ -121,19 +121,18 @@ std::optional<AttemptFault> validate_row(const RunContext& ctx,
   return std::nullopt;
 }
 
-/// The attempt loop shared by instances and cells: one attempt, or
-/// max_retries + 1 under RetryThenSkip, the first on `stream` and each retry
-/// on it re-derived by the retry tag. `attempt_once(rng, fault)` returns the
-/// result, or nullopt with `fault` set; a throw is an Exception fault. Under
-/// Abort a fault propagates; otherwise, once every attempt failed, the first
-/// failure is recorded and nullopt returned. The body is a template
-/// parameter, not a std::function: this runs once per cell.
+/// The attempt loop of instances and cells. `attempt_once(rng, fault)`
+/// returns the result, or nullopt with `fault` set; a throw is an Exception
+/// fault. Retries re-derive `stream` by the retry tag. Under Abort a fault
+/// propagates; otherwise, once every attempt failed, the first failure is
+/// recorded and the `cells` it costs are counted as skipped. A template,
+/// not a std::function: it runs once per cell.
 // raysched:hot
 template <class Result, class Attempt>
 std::optional<Result> run_attempts(const RunContext& ctx,
                                    const util::RngStream& stream,
                                    std::size_t net_idx, std::size_t trial_idx,
-                                   NetworkOutcome& outcome,
+                                   std::size_t cells, NetworkOutcome& outcome,
                                    Attempt&& attempt_once) {
   const FaultPolicy policy = ctx.config.fault_policy;
   const std::size_t attempts =
@@ -161,6 +160,7 @@ std::optional<Result> run_attempts(const RunContext& ctx,
     if (attempt + 1 < attempts) ++outcome.retries_used;
   }
   outcome.failures.push_back(std::move(*first_failure));
+  outcome.cells_skipped += cells;
   return std::nullopt;
 }
 
@@ -169,15 +169,14 @@ std::optional<Result> run_attempts(const RunContext& ctx,
 std::optional<model::Network> build_instance(const RunContext& ctx,
                                              std::size_t net_idx,
                                              NetworkOutcome& outcome) {
-  std::optional<model::Network> net = run_attempts<model::Network>(
+  // A failed instance costs all of the network's cells, so the sweep-level
+  // bookkeeping still adds up to networks x trials.
+  return run_attempts<model::Network>(
       ctx, ctx.master.derive(net_idx, kInstanceStreamTag), net_idx, kNoTrial,
-      outcome, [&ctx](util::RngStream& rng, std::optional<AttemptFault>&) {
+      ctx.config.trials_per_network, outcome,
+      [&ctx](util::RngStream& rng, std::optional<AttemptFault>&) {
         return std::optional<model::Network>(ctx.make_instance(rng));
       });
-  // None of the network's cells can run; account for them as skipped so the
-  // sweep-level bookkeeping still adds up to networks x trials.
-  if (!net) outcome.cells_skipped += ctx.config.trials_per_network;
-  return net;
 }
 
 /// Evaluates one (network, trial) cell, honoring the fault policy. Returns
@@ -188,35 +187,32 @@ std::optional<std::vector<double>> evaluate_cell(const RunContext& ctx,
                                                  std::size_t net_idx,
                                                  std::size_t trial_idx,
                                                  NetworkOutcome& outcome) {
-  std::optional<std::vector<double>> result =
-      run_attempts<std::vector<double>>(
-          ctx, ctx.master.derive(net_idx, kTrialStreamTag).derive(trial_idx),
-          net_idx, trial_idx, outcome,
-          [&ctx, &net](util::RngStream& rng,
-                       std::optional<AttemptFault>& fault)
-              -> std::optional<std::vector<double>> {
-            const auto cell_start = std::chrono::steady_clock::now();
-            // The trial function owns its metric row; one short vector per
-            // cell is the handoff contract, not a hot-loop leak.
-            std::vector<double> row = ctx.run_trial(net, rng);  // raysched-check: allow(RS-M4): per-cell metric row, trial owns allocation
-            fault = validate_row(ctx, row);
-            if (!fault && ctx.config.cell_time_limit > 0.0) {
-              const double took = std::chrono::duration<double>(
-                                      std::chrono::steady_clock::now() -
-                                      cell_start)
-                                      .count();
-              if (took > ctx.config.cell_time_limit) {
-                std::ostringstream os;
-                os << "run_experiment: cell took " << took << "s (limit "
-                   << ctx.config.cell_time_limit << "s)";
-                fault = AttemptFault{FailureKind::Timeout, os.str()};
-              }
-            }
-            if (fault) return std::nullopt;
-            return row;
-          });
-  if (!result) ++outcome.cells_skipped;
-  return result;
+  const auto attempt_once =
+      [&ctx, &net](util::RngStream& rng, std::optional<AttemptFault>& fault)
+      -> std::optional<std::vector<double>> {
+    const auto cell_start = std::chrono::steady_clock::now();
+    // The trial function owns its metric row; one short vector per cell is
+    // the handoff contract, not a hot-loop leak.
+    std::vector<double> row = ctx.run_trial(net, rng);  // raysched-check: allow(RS-M4): per-cell metric row, trial owns allocation
+    fault = validate_row(ctx, row);
+    if (!fault && ctx.config.cell_time_limit > 0.0) {
+      const double took =
+          std::chrono::duration<double>(std::chrono::steady_clock::now() -
+                                        cell_start)
+              .count();
+      if (took > ctx.config.cell_time_limit) {
+        std::ostringstream os;
+        os << "run_experiment: cell took " << took << "s (limit "
+           << ctx.config.cell_time_limit << "s)";
+        fault = AttemptFault{FailureKind::Timeout, os.str()};
+      }
+    }
+    if (fault) return std::nullopt;
+    return row;
+  };
+  return run_attempts<std::vector<double>>(
+      ctx, ctx.master.derive(net_idx, kTrialStreamTag).derive(trial_idx),
+      net_idx, trial_idx, 1, outcome, attempt_once);
 }
 
 /// Processes one network end to end. outcome.done stays false if the sweep
