@@ -378,6 +378,8 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   const RunContext ctx{config,    master, metric_names, make_instance,
                        run_trial, clock,  stopped};
 
+  // Claimers take one network at a time, so at most num_threads instances
+  // are alive at once and a slow network never holds up a queue behind it.
   auto process_range = [&](std::size_t begin, std::size_t end) {
     for (std::size_t idx = begin; idx < end; ++idx) {
       if (outcomes[idx].done) continue;  // resumed before threads started
@@ -398,8 +400,11 @@ ExperimentResult run_experiment(const ExperimentConfig& config,
   if (config.num_threads <= 1) {
     process_range(0, config.num_networks);
   } else {
-    ThreadPool pool(config.num_threads);
-    parallel_for(pool, config.num_networks, process_range);
+    // The calling thread claims too, so num_threads - 1 workers suffice.
+    ThreadPool& pool = default_pool();
+    pool.grow(config.num_threads - 1);
+    parallel_for(pool, config.num_networks, process_range, /*min_chunk=*/1,
+                 /*max_claimers=*/config.num_threads);
   }
 
   result.interrupted = stopped.load(std::memory_order_relaxed);

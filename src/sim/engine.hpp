@@ -48,7 +48,7 @@ struct ExperimentConfig {
   std::size_t num_networks = 10;   ///< outer dimension (instances)
   std::size_t trials_per_network = 25;  ///< inner dimension (e.g. transmit seeds)
   std::uint64_t master_seed = 1;
-  std::size_t num_threads = 1;  ///< networks are distributed across threads
+  std::size_t num_threads = 1;  ///< threads that claim networks, caller included
 
   // --- fault isolation ---
   FaultPolicy fault_policy = FaultPolicy::Abort;

@@ -1,10 +1,10 @@
-// raysched: portable fixed-size thread pool with a parallel_for helper.
+// raysched: portable thread pool with a dynamic parallel_for helper.
 //
 // Monte-Carlo sweeps (networks x transmit seeds x fading seeds) are
-// embarrassingly parallel across trials. Each trial owns a derived RngStream,
-// so parallel execution is deterministic regardless of scheduling. On a
-// single-core host the pool degrades to sequential execution with no
-// thread-creation overhead (num_threads == 1 runs inline).
+// embarrassingly parallel across networks. Each cell owns a derived
+// RngStream, so parallel execution is deterministic regardless of
+// scheduling. A pool built with one thread has no workers and runs inline;
+// the process-wide default_pool() starts that way and grows on demand.
 #pragma once
 
 #include <cstddef>
@@ -18,27 +18,33 @@
 
 namespace raysched::sim {
 
-/// Fixed-size worker pool. Tasks are std::function<void()>; wait() blocks
-/// until all submitted tasks completed. Exceptions thrown by tasks are
-/// captured and rethrown from wait() (first one wins). After the first
-/// captured exception the pool drains: queued tasks that have not started —
-/// and tasks submitted before the next wait() — are cancelled rather than
+/// Worker pool. Tasks are std::function<void()>; wait() blocks until all
+/// submitted tasks completed. Exceptions thrown by tasks are captured and
+/// rethrown from wait() (first one wins). After the first captured
+/// exception the pool drains: queued tasks that have not started — and
+/// tasks submitted before the next wait() — are cancelled rather than
 /// executed, since their results could never be observed.
 ///
 /// All pool state is guarded by mutex_; the thread-safety analysis enforces
 /// the discipline at compile time (see util/thread_annotations.hpp).
 class ThreadPool {
  public:
-  /// num_threads == 0 selects hardware_concurrency() (at least 1).
-  explicit ThreadPool(std::size_t num_threads = 0);
+  /// num_threads <= 1 builds an inline pool: no workers, submit() runs the
+  /// task on the calling thread.
+  explicit ThreadPool(std::size_t num_threads);
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
   ThreadPool& operator=(const ThreadPool&) = delete;
 
-  [[nodiscard]] std::size_t num_threads() const { return threads_.size(); }
+  /// Worker threads (0 for an inline pool).
+  [[nodiscard]] std::size_t num_threads() const RAYSCHED_EXCLUDES(mutex_);
 
-  /// Enqueues a task. If the pool was built with one thread, runs inline.
+  /// Adds workers until the pool has at least `num_workers`; never shrinks.
+  /// Safe to call concurrently with any other member, also from a task.
+  void grow(std::size_t num_workers) RAYSCHED_EXCLUDES(mutex_);
+
+  /// Enqueues a task. If the pool has no workers, runs inline.
   void submit(std::function<void()> task) RAYSCHED_EXCLUDES(mutex_);
 
   /// Blocks until all submitted tasks finished; rethrows the first captured
@@ -49,10 +55,10 @@ class ThreadPool {
   void worker_loop() RAYSCHED_EXCLUDES(mutex_);
   void record_exception() RAYSCHED_EXCLUDES(mutex_);
 
-  std::vector<std::thread> threads_;
-  util::Mutex mutex_;
+  mutable util::Mutex mutex_;
   util::CondVar cv_task_;
   util::CondVar cv_done_;
+  std::vector<std::thread> threads_ RAYSCHED_GUARDED_BY(mutex_);
   // Pending tasks are queue_[head_, size()). Both reset to empty once the
   // last one is taken, so the storage is reused and a pool that never holds
   // more tasks than before allocates nothing per submit.
@@ -63,14 +69,24 @@ class ThreadPool {
   std::exception_ptr first_exception_ RAYSCHED_GUARDED_BY(mutex_);
 };
 
-/// Splits [0, count) into contiguous chunks and runs body(begin, end) on the
-/// pool, blocking until all chunks complete. body must be thread-safe across
-/// disjoint ranges. With a 1-thread pool this is a plain loop.
+/// Runs body(begin, end) over [0, count), blocking until every index ran.
+/// Claimers draw chunks of `min_chunk` indices from one atomic counter: the
+/// calling thread is one, and up to `max_claimers - 1` tasks submitted to
+/// the pool are the others (0 = one per pool worker). body must be
+/// thread-safe across disjoint ranges.
+///
+/// Each call keeps its own completion count and first exception, so calls
+/// that share a pool never wait on or rethrow each other's work. Once a
+/// body threw, unclaimed indices are skipped and the exception is rethrown
+/// here. The caller does not wait for its tasks to start, only for claimed
+/// ranges to finish, so a call made from inside a pool task completes even
+/// when every worker is busy.
 void parallel_for(ThreadPool& pool, std::size_t count,
                   const std::function<void(std::size_t, std::size_t)>& body,
-                  std::size_t min_chunk = 1);
+                  std::size_t min_chunk = 1, std::size_t max_claimers = 0);
 
-/// Shared default pool sized to the host (constructed on first use).
+/// The process-wide pool. It starts with no workers; callers grow() it to
+/// the size they need, so threads are created once per process, not per call.
 ThreadPool& default_pool();
 
 }  // namespace raysched::sim

@@ -3,7 +3,13 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
+#include <iterator>
+#include <sstream>
+#include <string>
+#include <thread>
 
+#include "fault_injection.hpp"
 #include "test_helpers.hpp"
 
 namespace raysched::sim {
@@ -209,6 +215,187 @@ TEST(Engine, PreSetCancelFlagStopsImmediately) {
   EXPECT_TRUE(result.interrupted);
   EXPECT_EQ(result.networks_completed, 0u);
   EXPECT_EQ(calls.load(), 0);
+}
+
+/// A trial that consumes its stream, so a scheduling-dependent stream or
+/// fold order would show up as changed bits.
+std::vector<double> noisy_trial(const model::Network& net,
+                                util::RngStream& rng) {
+  model::LinkSet active;
+  for (model::LinkId i = 0; i < net.size(); ++i) {
+    if (rng.bernoulli(0.5)) active.push_back(i);
+  }
+  return {static_cast<double>(active.size()),
+          static_cast<double>(model::count_successes_nonfading(
+              net, active, units::Threshold(2.5))) +
+              rng.uniform()};
+}
+
+/// Every bit a result carries: moments, failure list with coordinates, and
+/// the sweep counters.
+std::string fingerprint(const ExperimentResult& r) {
+  std::ostringstream os;
+  os.precision(17);
+  for (std::size_t k = 0; k < r.num_metrics(); ++k) {
+    for (const Accumulator* acc : {&r.per_trial[k], &r.per_network[k]}) {
+      os << acc->count() << ' ' << acc->mean() << ' ' << acc->variance()
+         << ' ' << acc->min() << ' ' << acc->max() << '\n';
+    }
+  }
+  for (const CellFailure& f : r.failures) {
+    os << describe(f) << " | " << f.seed_coords.master_seed << ' '
+       << f.seed_coords.net_idx << ' ' << f.seed_coords.trial_idx << ' '
+       << f.seed_coords.attempt << '\n';
+  }
+  os << r.cells_completed << ' ' << r.cells_skipped << ' ' << r.retries_used
+     << ' ' << r.networks_completed << ' ' << r.interrupted << '\n';
+  return os.str();
+}
+
+std::string file_bytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return {std::istreambuf_iterator<char>(in), std::istreambuf_iterator<char>()};
+}
+
+TEST(Engine, BitIdenticalAtAnyThreadCountWithFaults) {
+  using raysched::testing::FaultAction;
+  using raysched::testing::FaultSite;
+  FaultSite transient{1, 4, FaultAction::Throw};  // recovers on a retry
+  transient.fail_attempts = 1;
+  const auto trial = raysched::testing::inject_faults(
+      noisy_trial, {transient,
+                    {0, 0, FaultAction::Throw},
+                    {3, 5, FaultAction::ReturnNan},
+                    {6, 2, FaultAction::ReturnInf},
+                    {8, 7, FaultAction::Throw}});
+  const auto factory = raysched::testing::inject_factory_faults(
+      tiny_instance, {{5, kNoTrial, FaultAction::Throw}});
+  for (const FaultPolicy policy :
+       {FaultPolicy::Skip, FaultPolicy::RetryThenSkip}) {
+    ExperimentConfig config;
+    config.num_networks = 11;
+    config.trials_per_network = 9;
+    config.master_seed = 23;
+    config.fault_policy = policy;
+    config.max_retries = 2;
+    config.num_threads = 1;
+    const std::string reference =
+        fingerprint(run_experiment(config, {"tx", "ok"}, factory, trial));
+    EXPECT_NE(reference.find("attempt=0"), std::string::npos);
+    for (const std::size_t threads : {2u, 3u, 4u, 8u}) {
+      config.num_threads = threads;
+      EXPECT_EQ(fingerprint(run_experiment(config, {"tx", "ok"}, factory,
+                                           trial)),
+                reference)
+          << "threads " << threads;
+    }
+  }
+}
+
+TEST(Engine, CheckpointAtFourThreadsMatchesOneThreadBytes) {
+  const std::string one = "test_engine_ckpt_t1.txt";
+  const std::string four = "test_engine_ckpt_t4.txt";
+  ExperimentConfig config;
+  config.num_networks = 9;
+  config.trials_per_network = 6;
+  config.master_seed = 5;
+  config.fault_policy = FaultPolicy::Skip;
+  config.checkpoint_every = 2;
+  const auto trial = raysched::testing::inject_faults(
+      noisy_trial, {{2, 1, raysched::testing::FaultAction::Throw}});
+  config.checkpoint_path = one;
+  config.num_threads = 1;
+  (void)run_experiment(config, {"tx", "ok"}, tiny_instance, trial);
+  config.checkpoint_path = four;
+  config.num_threads = 4;
+  (void)run_experiment(config, {"tx", "ok"}, tiny_instance, trial);
+  const std::string bytes = file_bytes(one);
+  EXPECT_FALSE(bytes.empty());
+  EXPECT_EQ(file_bytes(four), bytes);
+  std::remove(one.c_str());
+  std::remove(four.c_str());
+}
+
+TEST(Engine, ConcurrentCallsOnSharedPoolKeepTheirOwnFaults) {
+  // Both calls run on default_pool(). The Abort call's fault must surface
+  // only in that call, and the other call must return its own statistics.
+  ExperimentConfig clean;
+  clean.num_networks = 32;
+  clean.trials_per_network = 30;
+  clean.master_seed = 41;
+  clean.num_threads = 1;
+  const std::string expected =
+      fingerprint(run_experiment(clean, {"tx", "ok"}, tiny_instance,
+                                 noisy_trial));
+  clean.num_threads = 4;
+
+  ExperimentConfig aborting = clean;
+  aborting.master_seed = 42;
+  aborting.fault_policy = FaultPolicy::Abort;
+  const auto bad_trial = raysched::testing::inject_faults(
+      noisy_trial, {{17, 3, raysched::testing::FaultAction::Throw}});
+
+  for (int round = 0; round < 10; ++round) {
+    std::string got;
+    bool clean_threw = false;
+    std::thread other([&] {
+      try {
+        got = fingerprint(
+            run_experiment(clean, {"tx", "ok"}, tiny_instance, noisy_trial));
+      } catch (...) {
+        clean_threw = true;
+      }
+    });
+    EXPECT_THROW(
+        (void)run_experiment(aborting, {"tx", "ok"}, tiny_instance, bad_trial),
+        raysched::error);
+    other.join();
+    EXPECT_FALSE(clean_threw);
+    EXPECT_EQ(got, expected);
+  }
+}
+
+TEST(Engine, TrialThatRunsAnExperimentCompletes) {
+  // The inner call runs on a pool worker of the outer call; it finishes
+  // because its caller claims work too, even when every worker is busy.
+  auto inner_trial = [](const model::Network&, util::RngStream& rng) {
+    ExperimentConfig inner;
+    inner.num_networks = 3;
+    inner.trials_per_network = 4;
+    inner.master_seed = rng.next_u64();
+    inner.num_threads = 4;
+    const auto r = run_experiment(inner, {"tx", "ok"}, tiny_instance,
+                                  noisy_trial);
+    return std::vector<double>{r.per_trial[1].mean()};
+  };
+  ExperimentConfig outer;
+  outer.num_networks = 6;
+  outer.trials_per_network = 3;
+  outer.num_threads = 1;
+  const std::string reference =
+      fingerprint(run_experiment(outer, {"m"}, tiny_instance, inner_trial));
+  outer.num_threads = 4;
+  EXPECT_EQ(fingerprint(run_experiment(outer, {"m"}, tiny_instance,
+                                       inner_trial)),
+            reference);
+}
+
+TEST(Engine, RepeatedCallsDoNotGrowTheSharedPool) {
+  ExperimentConfig config;
+  config.num_networks = 8;
+  config.trials_per_network = 3;
+  config.num_threads = 4;
+  (void)run_experiment(config, {"tx", "ok"}, tiny_instance, noisy_trial);
+  const std::size_t workers = default_pool().num_threads();
+  EXPECT_GE(workers, 3u);
+  for (int k = 0; k < 5; ++k) {
+    (void)run_experiment(config, {"tx", "ok"}, tiny_instance, noisy_trial);
+    EXPECT_EQ(default_pool().num_threads(), workers);
+  }
+  // One thread runs inline and leaves the pool alone too.
+  config.num_threads = 1;
+  (void)run_experiment(config, {"tx", "ok"}, tiny_instance, noisy_trial);
+  EXPECT_EQ(default_pool().num_threads(), workers);
 }
 
 TEST(Engine, ValidatesConfiguration) {

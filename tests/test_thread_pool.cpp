@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
+#include <chrono>
 #include <mutex>
 #include <numeric>
 #include <thread>
@@ -252,6 +254,82 @@ TEST(ThreadPoolStress, ParallelForSurvivesThrowingBodies) {
     } catch (const raysched::error&) {
       EXPECT_LT(ran.load(), 256);
     }
+  }
+}
+
+TEST(ThreadPool, GrowAddsWorkersAndNeverShrinks) {
+  ThreadPool pool(1);
+  EXPECT_EQ(pool.num_threads(), 0u);
+  pool.grow(3);
+  EXPECT_EQ(pool.num_threads(), 3u);
+  pool.grow(2);
+  EXPECT_EQ(pool.num_threads(), 3u);
+  std::atomic<int> ran{0};
+  for (int i = 0; i < 16; ++i) pool.submit([&ran] { ran.fetch_add(1); });
+  pool.wait();
+  EXPECT_EQ(ran.load(), 16);
+}
+
+TEST(ParallelFor, MaxClaimersCapsTheThreadsThatRunBodies) {
+  ThreadPool pool(6);
+  std::mutex m;
+  std::vector<std::thread::id> seen;
+  parallel_for(
+      pool, 64,
+      [&](std::size_t, std::size_t) {
+        std::this_thread::sleep_for(std::chrono::microseconds(200));
+        std::lock_guard<std::mutex> lock(m);
+        if (std::find(seen.begin(), seen.end(), std::this_thread::get_id()) ==
+            seen.end()) {
+          seen.push_back(std::this_thread::get_id());
+        }
+      },
+      /*min_chunk=*/1, /*max_claimers=*/2);
+  EXPECT_LE(seen.size(), 2u);
+  EXPECT_GE(seen.size(), 1u);
+}
+
+TEST(ParallelFor, CallerFinishesWhenEveryWorkerIsBusy) {
+  // Both workers block until the caller's loop is done; the caller must
+  // claim every index itself instead of waiting for its queued tasks.
+  ThreadPool pool(2);
+  std::atomic<bool> release{false};
+  for (int i = 0; i < 2; ++i) {
+    pool.submit([&release] {
+      while (!release.load()) std::this_thread::yield();
+    });
+  }
+  std::vector<std::atomic<int>> hits(100);
+  parallel_for(pool, hits.size(), [&](std::size_t b, std::size_t e) {
+    for (std::size_t i = b; i < e; ++i) hits[i].fetch_add(1);
+  });
+  release.store(true);
+  pool.wait();
+  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+}
+
+TEST(ParallelFor, CallsSharingAPoolRethrowOnlyTheirOwnFault) {
+  ThreadPool pool(3);
+  for (int round = 0; round < 20; ++round) {
+    std::atomic<int> clean_hits{0};
+    bool clean_threw = false;
+    std::thread clean([&] {
+      try {
+        parallel_for(pool, 200, [&](std::size_t b, std::size_t e) {
+          clean_hits.fetch_add(static_cast<int>(e - b));
+        });
+      } catch (...) {
+        clean_threw = true;
+      }
+    });
+    EXPECT_THROW(parallel_for(pool, 200,
+                              [](std::size_t b, std::size_t) {
+                                if (b == 50) throw raysched::error("boom");
+                              }),
+                 raysched::error);
+    clean.join();
+    EXPECT_FALSE(clean_threw);
+    EXPECT_EQ(clean_hits.load(), 200);
   }
 }
 
