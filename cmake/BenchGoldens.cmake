@@ -1,4 +1,4 @@
-# raysched: bench and example outputs as committed goldens.
+# raysched: bench, example and CLI outputs as committed goldens.
 #
 # bench/expected/runs.txt lists runs as `<golden name> <target> [args...]`.
 # Each run's stdout must equal bench/expected/<golden name>.txt byte for
@@ -6,7 +6,7 @@
 #
 # Usage:
 #  * include(cmake/BenchGoldens.cmake) from the top-level lists file, after
-#    the bench and example targets exist: registers one ctest
+#    the bench, example and tool targets exist: registers one ctest
 #    bench_golden_<golden name> per run whose target is built. With both
 #    RAYSCHED_BUILD_BENCH and RAYSCHED_BUILD_EXAMPLES on, every target must
 #    exist: a run naming a deleted or misspelt target is a configure error
@@ -40,7 +40,7 @@ else()
     if(NOT TARGET ${_target})
       if(RAYSCHED_BUILD_BENCH AND RAYSCHED_BUILD_EXAMPLES)
         message(FATAL_ERROR "bench/expected/runs.txt: golden '${_name}' "
-          "runs '${_target}', which is not a bench or example target")
+          "runs '${_target}', which is not a bench, example or tool target")
       endif()
       continue()
     endif()

@@ -15,7 +15,7 @@ EXPECTED=bench/expected
 grep -v '^#' "$EXPECTED/runs.txt" | while read -r name target args; do
   [ -n "$name" ] || continue
   exe=""
-  for dir in bench examples; do
+  for dir in bench examples tools; do
     if [ -x "$BUILD/$dir/$target" ]; then exe="$BUILD/$dir/$target"; fi
   done
   if [ -z "$exe" ]; then
